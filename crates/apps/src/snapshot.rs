@@ -11,7 +11,9 @@
 //! two successive collects are equal. Unlike [5] we do not implement the
 //! embedded-scan helping mechanism, so scans are **obstruction-free** rather
 //! than wait-free (a bounded retry count with a best-effort fallback keeps
-//! tests and benches terminating); DESIGN.md records this deviation.
+//! tests and benches terminating). This is a deliberate deviation from [5]:
+//! the snapshot is an application demo (E7), not one of the paper's
+//! constructions.
 
 use byzreg_core::authenticated::AuthenticatedRegister;
 use byzreg_core::{AuthenticatedReader, AuthenticatedWriter};

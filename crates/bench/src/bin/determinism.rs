@@ -6,7 +6,8 @@
 //!
 //! 1. **MP delivery-schedule probe** — one emulated SWMR register over a
 //!    jittery seeded virtual-time network with tracing on, driven through
-//!    a fixed write/read command sequence. The full `(from, to)` delivery
+//!    a fixed write/read command sequence, each command issued on a settled
+//!    network (`MpRegister::settle`). The full `(from, to)` delivery
 //!    schedule and every read decision go into the report: the schedule is
 //!    a pure function of the seed and the command sequence.
 //! 2. **Adversary-policy probes** — the same register and command sequence
@@ -68,10 +69,13 @@ fn mp_schedule_probe(seed: u64) -> String {
     let r = reg.client(ProcessId::new(2));
     let mut reads = Vec::new();
     for i in 1..=6u32 {
+        reg.settle();
         w.write(i * 10);
+        reg.settle();
         let (ts, v) = r.read();
         reads.push(format!("[{ts},{v}]"));
     }
+    reg.settle();
     let schedule = reg.delivery_schedule().expect("tracing on");
     let pairs: Vec<String> =
         schedule.iter().map(|(from, to)| format!("[{},{}]", from.index(), to.index())).collect();
@@ -102,10 +106,13 @@ fn mp_adversary_probe(seed: u64) -> String {
             let r = reg.client(ProcessId::new(2));
             let mut reads = Vec::new();
             for i in 1..=6u32 {
+                reg.settle();
                 w.write(i * 10);
+                reg.settle();
                 let (ts, v) = r.read();
                 reads.push(format!("[{ts},{v}]"));
             }
+            reg.settle();
             let schedule = reg.delivery_schedule().expect("tracing on");
             let mut fold = 0xcbf2_9ce4_8422_2325_u64;
             for (from, to) in &schedule {

@@ -1,4 +1,7 @@
-//! The experiment driver: regenerates every table of `EXPERIMENTS.md`.
+//! The experiment driver: prints the E1–E7 tables (each section's header
+//! names the paper's claim it checks: E1 Theorem 29, E2–E4 Theorems
+//! 14/20/25, E5 Observation 30, E6 the message-passing corollary, E7 the
+//! applications) and the quick B latency summary.
 //!
 //! ```sh
 //! cargo run --release -p byzreg-bench --bin experiments          # all

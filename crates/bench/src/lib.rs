@@ -1,8 +1,10 @@
 //! # byzreg-bench
 //!
 //! Workload helpers shared by the Criterion benches and the `experiments`
-//! binary. Each experiment/bench id (E1–E7, B1–B7) is defined in
-//! `EXPERIMENTS.md` and `DESIGN.md` §6.
+//! binary. Each experiment id (E1–E7) is a section of the `experiments`
+//! binary, whose header names the paper's claim it checks; each bench id
+//! (B1–B8) is a Criterion bench under `benches/`, whose module docs state
+//! what it measures.
 //!
 //! The [`generic`] module hosts harnesses written once against the
 //! `SignatureRegister` trait layer and instantiated per register family.

@@ -43,13 +43,27 @@
 //! # }
 //! ```
 
-use byzreg_runtime::{HelpShard, ProcessId, RegisterFactory, Result, System, Value};
+use std::collections::BTreeSet;
 
-use crate::quorum::EngineParts;
+use byzreg_runtime::{Env, HelpShard, ProcessId, RegisterFactory, Result, System, Value};
+
+use crate::quorum::{verify_groups, EngineParts};
 
 use crate::authenticated::{AuthenticatedReader, AuthenticatedRegister, AuthenticatedWriter};
-use crate::sticky::{StickyReader, StickyRegister, StickyWriter};
+use crate::sticky::{read_groups, StickyReader, StickyRegister, StickyWriter};
 use crate::verifiable::{VerifiableReader, VerifiableRegister, VerifiableWriter};
+
+/// The shared `verify_fused` body of the two families whose readers run
+/// the §5.1 `Verify` rule: one [`verify_groups`] run over each group
+/// reader's engine handles.
+fn verify_fused_parts<V: Value, R>(
+    env: &Env,
+    groups: &[(&R, &[V])],
+    parts: fn(&R) -> &EngineParts<BTreeSet<V>>,
+) -> Result<Vec<Vec<bool>>> {
+    let groups: Vec<_> = groups.iter().map(|&(r, vs)| (parts(r), vs)).collect();
+    verify_groups(env, &groups)
+}
 
 /// The three register families of the paper, for labeling generic output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -128,7 +142,7 @@ pub trait SignatureVerifier<V: Value>: Send {
     /// which is exactly what the default does. Families override it to
     /// amortize the §5.1 quorum machinery across the batch: the
     /// verifiable/authenticated readers run **one** shared round sequence
-    /// for the whole batch (`byzreg_core::quorum::verify_quorum_many`), and
+    /// for the whole batch (`byzreg_core::quorum::verify_groups`), and
     /// the sticky reader answers every check from a single quorum read of
     /// its immutable content.
     ///
@@ -139,21 +153,25 @@ pub trait SignatureVerifier<V: Value>: Send {
         vs.iter().map(|v| self.verify_value(v)).collect()
     }
 
-    /// The reader-side §5.1 engine handles of this register instance, for
-    /// fusing `Verify` batches **across register instances** into one
-    /// shared round sequence with one logical asker counter per reader
-    /// (see [`crate::quorum::verify_quorum_groups`]; the keyed store's
-    /// `verify_many` is the consumer). `None` — the default, and the
-    /// sticky family's answer — means this family's checks do not run the
-    /// voting engine: the sticky register answers a whole batch from a
-    /// single quorum read instead, so there is nothing to fuse.
+    /// Checks every group's values against the group's reader handle in
+    /// **one** fused run of the §5.1 engine
+    /// ([`crate::quorum::quorum_groups`]): one shared round sequence with
+    /// one logical asker counter per reader drives every touched register
+    /// instance, returning one outcome vector per group. All handles must
+    /// belong to the same reader of the same system `env`; the caller
+    /// enters the step gate as that reader. The keyed store's
+    /// `verify_many` is the consumer.
     ///
-    /// Checks decided through a fused run are not recorded in the
+    /// Checks decided through a fused run are not recorded in any
     /// instance's operation history: the history log is per-instance
     /// (diagnostics and spec monitors), while a fused run spans many.
-    fn engine_parts(&self) -> Option<EngineParts<V>> {
-        None
-    }
+    ///
+    /// # Errors
+    ///
+    /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
+    fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>>
+    where
+        Self: Sized;
 }
 
 /// An installed register instance of one family.
@@ -179,24 +197,24 @@ pub trait SignatureRegister<V: Value>: Sized + Send + Sync + 'static {
     }
 
     /// Installs the register with base registers from `factory` (e.g. the
-    /// message-passing emulation of `byzreg-mp`).
+    /// message-passing emulation of `byzreg-mp`), on a fresh help shard of
+    /// its own.
     ///
     /// # Panics
     ///
     /// Panics if `n <= 3f`.
-    fn install_with_factory<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self;
+    fn install_with_factory<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
+        Self::install_in_shard(system, v0, factory, &system.new_help_shard())
+    }
 
     /// Installs the register with its `Help()` tasks hosted on the
-    /// demand-driven help shard `shard` instead of the per-process
-    /// always-on engines: helpers tick only while one of this instance's
-    /// helper-dependent operations is in flight, and a shard with nothing
-    /// pending parks (see `byzreg_runtime::HelpShard`). The keyed store
-    /// installs every key through this, under the key's shard.
-    ///
-    /// The default falls back to [`install_with_factory`]
-    /// (`SignatureRegister::install_with_factory`) — always-on helping is
-    /// a conservative superset of demand-driven helping, so implementors
-    /// that have not adopted shard hosting remain correct.
+    /// demand-driven help shard `shard` (see `byzreg_runtime::HelpShard`):
+    /// helpers tick only while an operation that depends on them is in
+    /// flight on one of the shard's instances, and a shard with nothing
+    /// pending parks. This is the one install path: the keyed store
+    /// installs every key under the key's shard, and a standalone install
+    /// ([`install_with_factory`](SignatureRegister::install_with_factory))
+    /// gets a shard of its own.
     ///
     /// # Panics
     ///
@@ -206,10 +224,7 @@ pub trait SignatureRegister<V: Value>: Sized + Send + Sync + 'static {
         v0: V,
         factory: &F,
         shard: &HelpShard,
-    ) -> Self {
-        let _ = shard;
-        Self::install_with_factory(system, v0, factory)
-    }
+    ) -> Self;
 
     /// The unique writer handle.
     ///
@@ -234,10 +249,6 @@ impl<V: Value> SignatureRegister<V> for VerifiableRegister<V> {
     type Signer = VerifiableWriter<V>;
     type Verifier = VerifiableReader<V>;
     const FAMILY: Family = Family::Verifiable;
-
-    fn install_with_factory<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        VerifiableRegister::install_with(system, v0, factory)
-    }
 
     fn install_in_shard<F: RegisterFactory>(
         system: &System,
@@ -284,8 +295,8 @@ impl<V: Value> SignatureVerifier<V> for VerifiableReader<V> {
         VerifiableReader::verify_many(self, vs)
     }
 
-    fn engine_parts(&self) -> Option<EngineParts<V>> {
-        Some(VerifiableReader::engine_parts(self))
+    fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>> {
+        verify_fused_parts(env, groups, |r| &r.parts)
     }
 }
 
@@ -297,10 +308,6 @@ impl<V: Value> SignatureRegister<V> for AuthenticatedRegister<V> {
     type Signer = AuthenticatedWriter<V>;
     type Verifier = AuthenticatedReader<V>;
     const FAMILY: Family = Family::Authenticated;
-
-    fn install_with_factory<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        AuthenticatedRegister::install_with(system, v0, factory)
-    }
 
     fn install_in_shard<F: RegisterFactory>(
         system: &System,
@@ -349,8 +356,8 @@ impl<V: Value> SignatureVerifier<V> for AuthenticatedReader<V> {
         AuthenticatedReader::verify_many(self, vs)
     }
 
-    fn engine_parts(&self) -> Option<EngineParts<V>> {
-        Some(AuthenticatedReader::engine_parts(self))
+    fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>> {
+        verify_fused_parts(env, groups, |r| &r.parts)
     }
 }
 
@@ -363,12 +370,8 @@ impl<V: Value> SignatureRegister<V> for StickyRegister<V> {
     type Verifier = StickyReader<V>;
     const FAMILY: Family = Family::Sticky;
 
-    fn install_with_factory<F: RegisterFactory>(system: &System, _v0: V, factory: &F) -> Self {
-        // The sticky register's initial value is ⊥ (Definition 21); v0 is
-        // meaningless for this family and deliberately ignored.
-        StickyRegister::install_with(system, factory)
-    }
-
+    /// The sticky register's initial value is ⊥ (Definition 21); `v0` is
+    /// meaningless for this family and deliberately ignored.
     fn install_in_shard<F: RegisterFactory>(
         system: &System,
         _v0: V,
@@ -422,6 +425,17 @@ impl<V: Value> SignatureVerifier<V> for StickyReader<V> {
         }
         let stuck = self.read()?;
         Ok(vs.iter().map(|v| stuck.as_ref() == Some(v)).collect())
+    }
+
+    /// One fused sticky `Read` per group answers all of the group's checks.
+    fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>> {
+        let parts: Vec<_> = groups.iter().map(|&(r, _)| &r.parts).collect();
+        let stuck = read_groups(env, &parts)?;
+        Ok(groups
+            .iter()
+            .zip(stuck)
+            .map(|(&(_, vs), s)| vs.iter().map(|v| s.as_ref() == Some(v)).collect())
+            .collect())
     }
 }
 

@@ -237,7 +237,7 @@ pub mod sticky {
 
 #[cfg(test)]
 mod tests {
-    use byzreg_runtime::{ProcessId, Scheduling, System};
+    use byzreg_runtime::{ByzantineBehavior, ProcessId, Scheduling, System};
 
     use crate::sticky::StickyRegister;
     use crate::verifiable::VerifiableRegister;
@@ -250,7 +250,20 @@ mod tests {
             .build();
         let reg = VerifiableRegister::install(&system, 0u32);
         let ports = reg.attack_ports(ProcessId::new(1));
-        system.spawn_byzantine(ProcessId::new(1), super::verifiable::lie_then_deny(ports, 7, 99));
+        // The shared script denies after a fixed number of ticks, which may
+        // come before any reader verifies. This test needs a verify to
+        // succeed first, so it holds the script after its first tick (the
+        // signing) until `f + 1 = 2` processes besides the writer witness 7.
+        let others = ports.shared.witness[1..].to_vec();
+        let mut script = super::verifiable::lie_then_deny(ports, 7, 99);
+        let mut ticks = 0u64;
+        system.spawn_byzantine(ProcessId::new(1), move || {
+            if ticks == 1 && others.iter().filter(|w| w.read().contains(&7)).count() < 2 {
+                return true;
+            }
+            ticks += 1;
+            script.tick()
+        });
 
         let mut r2 = reg.reader(ProcessId::new(2));
         // Wait until the value verifies once...

@@ -47,9 +47,7 @@ use byzreg_runtime::{
 };
 use byzreg_spec::registers::{AuthInv, AuthResp};
 
-use crate::quorum::{
-    verify_quorum, verify_quorum_many, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
-};
+use crate::quorum::{verify_groups, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply};
 
 /// A process's witness set (content of `R_j`, `j ≠ 1`).
 pub type WitnessSet<V> = BTreeSet<V>;
@@ -152,9 +150,9 @@ pub struct AuthenticatedRegister<V: Ord> {
     v0: V,
     shared: SharedPorts<V>,
     endpoints: Endpoints<ProcessPorts<V>>,
-    /// `Some` when hosted on a demand-driven help shard (keyed-store
-    /// installs); reader handles begin demand around their quorum rounds.
-    demand: Option<HelpDemand>,
+    /// The demand handle of the instance's help shard; reader handles'
+    /// quorum runs begin it (see [`crate::quorum::quorum_groups`]).
+    demand: HelpDemand,
     log: HistoryLog<AuthInv<V>, AuthResp<V>>,
 }
 
@@ -178,7 +176,7 @@ impl<V: Value> AuthenticatedRegister<V> {
     /// Panics if `n <= 3f`.
     pub fn install_for_writer(system: &System, v0: V, writer: ProcessId) -> Self {
         let roles = Roles::with_writer(system.env().n(), writer);
-        Self::install_impl(system, v0, &LocalFactory, roles, None)
+        Self::install_impl(system, v0, &LocalFactory, roles, &system.new_help_shard())
     }
 
     /// Like [`AuthenticatedRegister::install`], but sourcing base registers
@@ -188,15 +186,15 @@ impl<V: Value> AuthenticatedRegister<V> {
     ///
     /// Panics if `n <= 3f`.
     pub fn install_with<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        let roles = Roles::identity(system.env().n());
-        Self::install_impl(system, v0, factory, roles, None)
+        Self::install_in_shard(system, v0, factory, &system.new_help_shard())
     }
 
     /// Like [`AuthenticatedRegister::install_with`], but hosts the
     /// instance's `Help()` tasks on the demand-driven help shard `shard`
-    /// (see `byzreg_runtime::HelpShard`): helpers tick only while one of
-    /// this instance's quorum operations is in flight. Used by the keyed
-    /// store, which partitions its keys' helping by store shard.
+    /// (see `byzreg_runtime::HelpShard`) instead of a fresh shard of its
+    /// own: helpers tick only while a quorum operation on one of the
+    /// shard's instances is in flight. The keyed store partitions its
+    /// keys' helping by store shard through this.
     ///
     /// # Panics
     ///
@@ -208,7 +206,7 @@ impl<V: Value> AuthenticatedRegister<V> {
         shard: &HelpShard,
     ) -> Self {
         let roles = Roles::identity(system.env().n());
-        Self::install_impl(system, v0, factory, roles, Some(shard))
+        Self::install_impl(system, v0, factory, roles, shard)
     }
 
     fn install_impl<F: RegisterFactory>(
@@ -216,7 +214,7 @@ impl<V: Value> AuthenticatedRegister<V> {
         v0: V,
         factory: &F,
         roles: Roles,
-        shard: Option<&HelpShard>,
+        shard: &HelpShard,
     ) -> Self {
         let env = system.env().clone();
         env.require_n_gt_3f();
@@ -250,7 +248,7 @@ impl<V: Value> AuthenticatedRegister<V> {
             askers: fabric.asker_ports(),
         };
 
-        let demand = shard.map(HelpShard::new_demand);
+        let demand = shard.new_demand();
         for j in 1..=n {
             let task = HelpTask2 {
                 env: env.clone(),
@@ -260,12 +258,7 @@ impl<V: Value> AuthenticatedRegister<V> {
                 replies_w: fabric.reply_row(j),
                 tracker: AskerTracker::new(n - 1),
             };
-            match (shard, &demand) {
-                (Some(s), Some(d)) => {
-                    system.add_sharded_help_task(s, roles.actual(j), d, Box::new(task));
-                }
-                _ => system.add_help_task(roles.actual(j), Box::new(task)),
-            }
+            system.add_sharded_help_task(shard, roles.actual(j), &demand, Box::new(task));
         }
 
         let mut endpoints = Vec::with_capacity(n);
@@ -350,10 +343,12 @@ impl<V: Value> AuthenticatedRegister<V> {
             env: self.env.clone(),
             pid,
             v0: self.v0.clone(),
-            ck_w: ports.asker_w.expect("reader ports"),
-            reply_column: self.shared.reply_column(role),
+            parts: EngineParts {
+                ck: ports.asker_w.expect("reader ports"),
+                replies: self.shared.reply_column(role),
+                demand: self.demand.clone(),
+            },
             r1: self.shared.r1.clone(),
-            demand: self.demand.clone(),
             log: self.log.clone(),
         }
     }
@@ -450,10 +445,10 @@ pub struct AuthenticatedReader<V: Ord> {
     env: Env,
     pid: ProcessId,
     v0: V,
-    ck_w: WritePort<u64>,
-    reply_column: Vec<ReadPort<Reply<V>>>,
+    /// The reader's §5.1 engine handles (asker counter, reply column,
+    /// help-shard demand); the trait layer's fused runs borrow them.
+    pub(crate) parts: EngineParts<WitnessSet<V>>,
     r1: ReadPort<WriterRecord<V>>,
-    demand: Option<HelpDemand>,
     log: HistoryLog<AuthInv<V>, AuthResp<V>>,
 }
 
@@ -474,9 +469,6 @@ impl<V: Value> AuthenticatedReader<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn read(&mut self) -> Result<V> {
         self.env.check_running()?;
-        // The internal Verify(−) of line 7 runs quorum rounds: keep the
-        // instance's help shard awake for the whole read.
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
         let op = self.log.invoke(self.pid, AuthInv::Read);
         let value = self.env.run_as(self.pid, || -> Result<V> {
             let r = self.r1.read(); // line 4: r <- R1
@@ -485,8 +477,8 @@ impl<V: Value> AuthenticatedReader<V> {
                 // line 6 picked the max tuple; line 7: verified <- Verify(v).
                 // This is the *procedure*, not a recorded operation
                 // (cf. the "dual-use" footnote 7).
-                let verified = verify_quorum(&self.env, &self.ck_w, &self.reply_column, v)?;
-                if verified {
+                let groups = [(&self.parts, std::slice::from_ref(v))];
+                if verify_groups(&self.env, &groups)?[0][0] {
                     return Ok(v.clone()); // line 8
                 }
             }
@@ -502,20 +494,13 @@ impl<V: Value> AuthenticatedReader<V> {
     ///
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn verify(&mut self, v: &V) -> Result<bool> {
-        self.env.check_running()?;
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
-        let op = self.log.invoke(self.pid, AuthInv::Verify(v.clone()));
-        let outcome = self
-            .env
-            .run_as(self.pid, || verify_quorum(&self.env, &self.ck_w, &self.reply_column, v))?;
-        self.log.respond(op, self.pid, AuthResp::VerifyResult(outcome));
-        Ok(outcome)
+        Ok(self.verify_many(std::slice::from_ref(v))?[0])
     }
 
     /// Batched `Verify`: decides every value of `vs` in **one** shared §5.1
     /// round sequence instead of `vs.len()` of them (see
-    /// [`crate::quorum::quorum_rounds_many`]). Outcomes are returned in
-    /// input order; each is exactly what a standalone
+    /// [`crate::quorum::quorum_groups`]). Outcomes are returned in input
+    /// order; each is exactly what a standalone
     /// [`verify`](AuthenticatedReader::verify) spanning the batch would
     /// return.
     ///
@@ -524,30 +509,14 @@ impl<V: Value> AuthenticatedReader<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn verify_many(&mut self, vs: &[V]) -> Result<Vec<bool>> {
         self.env.check_running()?;
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
         let ops: Vec<_> =
             vs.iter().map(|v| self.log.invoke(self.pid, AuthInv::Verify(v.clone()))).collect();
-        let outcomes = self.env.run_as(self.pid, || {
-            verify_quorum_many(&self.env, &self.ck_w, &self.reply_column, vs)
-        })?;
+        let outcomes =
+            self.env.run_as(self.pid, || verify_groups(&self.env, &[(&self.parts, vs)]))?.remove(0);
         for (op, outcome) in ops.into_iter().zip(&outcomes) {
             self.log.respond(op, self.pid, AuthResp::VerifyResult(*outcome));
         }
         Ok(outcomes)
-    }
-
-    /// This reader's §5.1 engine handles (asker counter + reply column),
-    /// for fusing verifies across register instances — see
-    /// [`crate::quorum::verify_quorum_groups`]. The handles carry the
-    /// reader's own capabilities only; holding the reader handle is what
-    /// authorizes taking them.
-    #[must_use]
-    pub fn engine_parts(&self) -> EngineParts<V> {
-        EngineParts {
-            ck: self.ck_w.clone(),
-            replies: self.reply_column.clone(),
-            demand: self.demand.clone(),
-        }
     }
 }
 

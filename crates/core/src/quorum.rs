@@ -6,9 +6,9 @@
 //!   `p_k`) and per-reader *asker* round counters `C_k` — installed by
 //!   [`QuorumFabric`];
 //! * the `set0`/`set1` voting loop a reader runs over its reply column —
-//!   the generic engine [`quorum_rounds`], instantiated as
-//!   [`verify_quorum`] by the `Verify(−)` of Algorithms 1–2 and by the
-//!   sticky `Read` of Algorithm 3;
+//!   the one engine [`quorum_groups`], instantiated as [`verify_groups`]
+//!   by every `Verify(−)` of Algorithms 1–2 (single, batched, and fused
+//!   across register instances) and by the sticky `Read` of Algorithm 3;
 //! * the helper-side asker/`prev_ck` handshake — [`AskerTracker`].
 //!
 //! §5.1 explains the voting mechanism: a reader proceeds in rounds; in each
@@ -44,367 +44,125 @@ pub enum Ballot {
     Dissent,
 }
 
-/// The §5.1 round engine shared by every quorum decision in this crate.
+/// The reader-side §5.1 engine handles of one register instance: ports of
+/// the reader's asker counter `C_k` and reply column `R_{j,k}`, plus the
+/// instance's help-shard demand handle.
 ///
-/// Runs rounds of: bump `C_k`, wait for one *fresh* reply from a process
-/// outside `set0 ∪ set1`, classify it with `tally`, then let `decide`
-/// inspect the updated tallies `(n1, n0)` — the sizes of `set1` and `set0`.
-/// `Ballot::Affirm` resets `set0`, so dissenters are re-asked after every
-/// affirmation; `set1` only ever grows.
-///
-/// `replies` is the asker's reply column `R_{j,k}` over all processes `p_j`.
-///
-/// [`quorum_rounds_many`] is this loop's batched sibling; it is kept as a
-/// separate copy so this single-item path stays annotated line-by-line
-/// against Algorithm 1 and pays no extra reply clone. **Any change to the
-/// round protocol here must be mirrored there** (the
-/// `quorum_rounds_many_matches_single_engine_outcomes` test compares the
-/// two).
-///
-/// # Errors
-///
-/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
-/// mid-operation.
-pub fn quorum_rounds<W: Value, T>(
-    env: &Env,
-    ck: &WritePort<u64>,
-    replies: &[ReadPort<Tagged<W>>],
-    mut tally: impl FnMut(usize, W) -> Ballot,
-    mut decide: impl FnMut(usize, usize) -> Option<T>,
-) -> Result<T> {
-    let n = env.n();
-    debug_assert_eq!(replies.len(), n);
-    let mut set1 = vec![false; n];
-    let mut set0 = vec![false; n];
-    let mut n1 = 0usize;
-    let mut n0 = 0usize;
-
-    // Alg. 1 line 12: while true (each iteration is a "round").
-    loop {
-        env.check_running()?;
-        // Line 13: Ck <- Ck + 1 (owner increment; see register::update docs).
-        let my_ck = ck.update(|c| {
-            *c += 1;
-            *c
-        });
-        // Lines 14-17: repeat reading R_{j,k} of every p_j not in
-        // set1 ∪ set0 until one of them carries a timestamp >= Ck.
-        let (j, r_j) = 'fresh: loop {
-            env.check_running()?;
-            for (j, port) in replies.iter().enumerate() {
-                if set1[j] || set0[j] {
-                    continue;
-                }
-                let (r_j, c_j) = port.read();
-                if c_j >= my_ck {
-                    break 'fresh (j, r_j);
-                }
-            }
-        };
-        match tally(j, r_j) {
-            Ballot::Affirm => {
-                // Lines 18-20: set1 <- set1 ∪ {pj}; set0 <- ∅.
-                set1[j] = true;
-                n1 += 1;
-                set0 = vec![false; n];
-                n0 = 0;
-            }
-            Ballot::Dissent => {
-                // Lines 21-22: set0 <- set0 ∪ {pj}.
-                set0[j] = true;
-                n0 += 1;
-            }
-        }
-        // Lines 23-24 (and Alg. 3 lines 20-22): the decision rule.
-        if let Some(outcome) = decide(n1, n0) {
-            return Ok(outcome);
-        }
-    }
-}
-
-/// The batched §5.1 round engine: runs `items` independent voting loops in
-/// one round sequence, sharing the asker counter `C_k` and the reply reads
-/// across the whole batch.
-///
-/// Each item keeps its own `set1`/`set0`; a reply fresh for the current
-/// round is tallied against **every** still-undecided item whose sets do
-/// not yet classify the helper. Each item therefore observes a subsequence
-/// of the shared rounds that is, on its own, a valid execution of
-/// [`quorum_rounds`]: freshness only requires a reply to answer a `C_k`
-/// bump issued after the item's previous transition, and extra bumps in
-/// between are indistinguishable from scheduling delay. The per-item
-/// safety and termination arguments of §5.1 carry over unchanged, while a
-/// batch of `m` values costs one round sequence instead of `m`.
-///
-/// `tally` receives `(item, helper, reply)`, `decide` receives
-/// `(item, n1, n0)`; the returned vector is indexed by item.
-///
-/// # Errors
-///
-/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
-/// mid-operation.
-pub fn quorum_rounds_many<W: Value, T>(
-    env: &Env,
-    ck: &WritePort<u64>,
-    replies: &[ReadPort<Tagged<W>>],
-    items: usize,
-    mut tally: impl FnMut(usize, usize, &W) -> Ballot,
-    mut decide: impl FnMut(usize, usize, usize) -> Option<T>,
-) -> Result<Vec<T>> {
-    let n = env.n();
-    debug_assert_eq!(replies.len(), n);
-    let mut set1 = vec![vec![false; n]; items];
-    let mut set0 = vec![vec![false; n]; items];
-    let mut n1 = vec![0usize; items];
-    let mut n0 = vec![0usize; items];
-    let mut outcome: Vec<Option<T>> = (0..items).map(|_| None).collect();
-    let mut pending = items;
-
-    while pending > 0 {
-        env.check_running()?;
-        let my_ck = ck.update(|c| {
-            *c += 1;
-            *c
-        });
-        // A helper is relevant while some undecided item has not yet
-        // classified it. Computed once per round — the sets and outcomes
-        // only change after a reply is processed — so the wait below costs
-        // O(n) per spin instead of O(n·items).
-        let relevant: Vec<bool> = (0..n)
-            .map(|j| (0..items).any(|i| outcome[i].is_none() && !set1[i][j] && !set0[i][j]))
-            .collect();
-        // Wait for one fresh reply from a relevant helper (the batched
-        // form of lines 14-17; an undecided item always has one, cf.
-        // `quorum_rounds`).
-        let (j, r_j) = 'fresh: loop {
-            env.check_running()?;
-            for (j, port) in replies.iter().enumerate() {
-                if !relevant[j] {
-                    continue;
-                }
-                let (r_j, c_j) = port.read();
-                if c_j >= my_ck {
-                    break 'fresh (j, r_j);
-                }
-            }
-        };
-        // One physical reply feeds every item that would still accept it.
-        for i in 0..items {
-            if outcome[i].is_some() || set1[i][j] || set0[i][j] {
-                continue;
-            }
-            match tally(i, j, &r_j) {
-                Ballot::Affirm => {
-                    set1[i][j] = true;
-                    n1[i] += 1;
-                    set0[i] = vec![false; n];
-                    n0[i] = 0;
-                }
-                Ballot::Dissent => {
-                    set0[i][j] = true;
-                    n0[i] += 1;
-                }
-            }
-            if let Some(t) = decide(i, n1[i], n0[i]) {
-                outcome[i] = Some(t);
-                pending -= 1;
-            }
-        }
-    }
-    Ok(outcome.into_iter().map(|t| t.expect("all items decided")).collect())
-}
-
-/// Runs the `Verify(v)` procedure of Algorithms 1 and 2 (lines 11–24 /
-/// 10–23) for the reader owning `ck`: `|set1| ≥ n − f` decides `true`,
-/// `|set0| > f` decides `false`.
-///
-/// `replies` is the reader's column of SWSR registers `R_{j,k}`, one per
-/// process `p_j` (including the writer and the reader itself).
-///
-/// # Errors
-///
-/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
-/// mid-operation.
-pub fn verify_quorum<V: Value>(
-    env: &Env,
-    ck: &WritePort<u64>,
-    replies: &[ReadPort<Reply<V>>],
-    v: &V,
-) -> Result<bool> {
-    let n = env.n();
-    let f = env.f();
-    quorum_rounds(
-        env,
-        ck,
-        replies,
-        |_, r_j| if r_j.contains(v) { Ballot::Affirm } else { Ballot::Dissent },
-        |n1, n0| {
-            if n1 >= n - f {
-                Some(true)
-            } else if n0 > f {
-                Some(false)
-            } else {
-                None
-            }
-        },
-    )
-}
-
-/// Batched `Verify`: decides every value of `vs` in one shared round
-/// sequence (see [`quorum_rounds_many`]), with the same per-value decision
-/// rule as [`verify_quorum`]. Returns one outcome per value, in order.
-///
-/// # Errors
-///
-/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
-/// mid-operation.
-pub fn verify_quorum_many<V: Value>(
-    env: &Env,
-    ck: &WritePort<u64>,
-    replies: &[ReadPort<Reply<V>>],
-    vs: &[V],
-) -> Result<Vec<bool>> {
-    let n = env.n();
-    let f = env.f();
-    quorum_rounds_many(
-        env,
-        ck,
-        replies,
-        vs.len(),
-        |i, _, r_j| if r_j.contains(&vs[i]) { Ballot::Affirm } else { Ballot::Dissent },
-        |_, n1, n0| {
-            if n1 >= n - f {
-                Some(true)
-            } else if n0 > f {
-                Some(false)
-            } else {
-                None
-            }
-        },
-    )
-}
-
-/// The reader-side §5.1 engine handles of one register instance: cloned
-/// ports of the reader's asker counter `C_k` and reply column `R_{j,k}`.
-///
-/// Obtained from a reader handle (which *is* the reader's capability — the
-/// asker counter is the reader's own write port), these let a caller fuse
-/// `Verify` batches **across register instances** through
-/// [`verify_quorum_groups`], sharing one logical asker counter per reader.
-pub struct EngineParts<V: Value> {
+/// Every reader handle keeps one and runs its quorum decisions through
+/// [`quorum_groups`]; passing several of one reader's handles to one run
+/// (the reader handle *is* the reader's capability — the asker counter is
+/// the reader's own write port) fuses decisions **across register
+/// instances**.
+pub struct EngineParts<W> {
     /// The reader's asker round counter `C_k` of this instance.
     pub ck: WritePort<u64>,
     /// The reader's reply column `R_{j,k}` of this instance, one port per
     /// process `p_j`.
-    pub replies: Vec<ReadPort<Reply<V>>>,
-    /// The instance's help-shard demand handle, when the instance is hosted
-    /// on a demand-driven shard (keyed-store installs): a fused run begins
-    /// demand on every touched instance so the right shards' engines wake
-    /// and keep ticking while the batch has pending rounds. `None` for
-    /// instances on the unsharded always-on engines.
-    pub demand: Option<HelpDemand>,
+    pub replies: Vec<ReadPort<Tagged<W>>>,
+    /// The demand handle of the instance's help shard: a run begins demand
+    /// on every instance it touches, so exactly the right shards' engines
+    /// wake and keep ticking while the run has pending rounds.
+    pub demand: HelpDemand,
 }
 
-/// One register instance's slice of a cross-instance batched `Verify`.
-pub struct VerifyGroup<V: Value> {
-    /// The instance's reader-side engine handles.
-    pub parts: EngineParts<V>,
-    /// The values to check against this instance.
-    pub vs: Vec<V>,
+/// Per-group voting state of a [`quorum_groups`] run.
+struct GroupState<T> {
+    set1: Vec<Vec<bool>>,
+    set0: Vec<Vec<bool>>,
+    n1: Vec<usize>,
+    n0: Vec<usize>,
+    outcome: Vec<Option<T>>,
+    pending: usize,
 }
 
-/// Cross-register batched `Verify`: decides every group's values with **one
-/// logical asker counter per reader** driving all groups' round sequences
-/// in lockstep, instead of one independent round sequence per register.
+/// The §5.1 round engine: every quorum decision in this crate runs here.
 ///
-/// All groups must belong to the *same* reader `p_k` of the same system
-/// `env`. The engine keeps a single monotone cursor, starting above every
-/// group's current `C_k`; each shared round writes the cursor into every
-/// still-undecided group's counter (one logical bump, fanned out) and then
-/// harvests **one** fresh reply per pending group before the cursor
-/// advances. Per group, the observed execution is exactly a
-/// [`quorum_rounds_many`] run whose counter values skip — helpers only
-/// ever require `C_k` to increase, and a reply is fresh iff it answers the
-/// current cursor — so the §5.1 safety and termination arguments apply to
-/// each group unchanged. The win is wall-clock: a batch touching `m`
-/// registers waits `max` of the groups' round counts, not their sum, and
-/// every register's helpers work the same engine rounds concurrently.
+/// `groups` lists register instances of one reader `p_k` of `env`, each
+/// with the number of *items* (independent voting loops) to decide against
+/// it. Item `i` of group `g` keeps its own `set1`/`set0`; `tally(g, i, j,
+/// reply)` classifies helper `p_{j+1}`'s fresh reply for it, and `decide(g,
+/// i, n1, n0)` inspects the updated tallies — the sizes of `set1` and
+/// `set0` — after every classification. [`Ballot::Affirm`] resets `set0`,
+/// so dissenters are re-asked after every affirmation; `set1` only ever
+/// grows. Returns one outcome vector per group, in group order.
 ///
-/// Decision rule per value: `|set1| ≥ n − f` ⇒ `true`, `|set0| > f` ⇒
-/// `false`, as in [`verify_quorum`]. Returns one outcome vector per group,
-/// in group order.
+/// Each shared round bumps every still-undecided group's `C_k` (Alg. 1
+/// line 13) and then harvests **one** fresh reply per such group, from a
+/// helper that some undecided item of the group has not yet classified
+/// (lines 14–17). That one physical reply feeds every item that would
+/// still accept it (lines 18–22), then the decision rule runs (lines
+/// 23–24; Alg. 3 lines 20–22).
+///
+/// The groups share one logical asker counter: a bump writes the maximum
+/// of the group's next value and the highest value issued so far, so
+/// from the second round on every group's `C_k` carries the same cursor.
+/// A single group therefore bumps exactly as Alg. 1 line 13 (`C_k <- C_k +
+/// 1`) and reads exactly the registers the paper's loop reads. Per item,
+/// the observed execution is a valid run of the single-value loop:
+/// helpers only require `C_k` to increase, a reply is fresh iff it answers
+/// the item's current bump, and extra bumps in between are
+/// indistinguishable from scheduling delay — so the §5.1 safety and
+/// termination arguments carry over unchanged. The win is wall-clock: `m`
+/// values of one register cost one round sequence instead of `m`, and a
+/// run over many registers waits for the slowest group's rounds, not the
+/// sum.
 ///
 /// # Errors
 ///
 /// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
 /// mid-operation.
-pub fn verify_quorum_groups<V: Value>(
+pub fn quorum_groups<W: Value, T>(
     env: &Env,
-    groups: &[VerifyGroup<V>],
-) -> Result<Vec<Vec<bool>>> {
+    groups: &[(&EngineParts<W>, usize)],
+    mut tally: impl FnMut(usize, usize, usize, &W) -> Ballot,
+    mut decide: impl FnMut(usize, usize, usize, usize) -> Option<T>,
+) -> Result<Vec<Vec<T>>> {
     let n = env.n();
-    let f = env.f();
-
-    // Signal "this batch has pending rounds" to every touched instance's
-    // help shard for the whole run: demand-driven shard engines tick the
-    // touched keys' help tasks exactly while these guards are held.
-    let _demand: Vec<HelpDemandGuard> =
-        groups.iter().filter_map(|g| g.parts.demand.as_ref().map(HelpDemand::begin)).collect();
-
-    struct GroupState {
-        set1: Vec<Vec<bool>>,
-        set0: Vec<Vec<bool>>,
-        n1: Vec<usize>,
-        n0: Vec<usize>,
-        outcome: Vec<Option<bool>>,
-        pending: usize,
-    }
-
-    let mut states: Vec<GroupState> = groups
+    // Signal "this run has pending rounds" to every touched instance's help
+    // shard for the whole run: shard engines tick the touched instances'
+    // help tasks exactly while these guards are held.
+    let _demand: Vec<HelpDemandGuard> = groups.iter().map(|(p, _)| p.demand.begin()).collect();
+    let mut states: Vec<GroupState<T>> = groups
         .iter()
-        .map(|g| {
-            let items = g.vs.len();
-            GroupState {
-                set1: vec![vec![false; n]; items],
-                set0: vec![vec![false; n]; items],
-                n1: vec![0; items],
-                n0: vec![0; items],
-                outcome: (0..items).map(|_| None).collect(),
-                pending: items,
-            }
+        .map(|&(_, items)| GroupState {
+            set1: vec![vec![false; n]; items],
+            set0: vec![vec![false; n]; items],
+            n1: vec![0; items],
+            n0: vec![0; items],
+            outcome: (0..items).map(|_| None).collect(),
+            pending: items,
         })
         .collect();
     let mut pending_total: usize = states.iter().map(|s| s.pending).sum();
+    let mut my_ck = vec![0u64; groups.len()];
+    let mut cursor = 0u64;
 
-    // The shared logical counter: one cursor per reader, strictly above
-    // every group's current C_k so each fan-out write is a fresh bump.
-    let mut cursor = groups.iter().map(|g| g.parts.ck.read()).max().unwrap_or(0);
-
+    // Alg. 1 line 12: while true (each iteration is a "round").
     while pending_total > 0 {
         env.check_running()?;
-        cursor += 1;
-        for (g, s) in groups.iter().zip(&states) {
+        // Line 13: Ck <- Ck + 1, one logical bump fanned out to every
+        // pending group (owner RMW; see register::update docs).
+        let mut target = cursor + 1;
+        for (g, s) in states.iter().enumerate() {
             if s.pending > 0 {
-                g.parts.ck.update(|c| *c = cursor);
+                my_ck[g] = groups[g].0.ck.update(|c| {
+                    *c = (*c + 1).max(target);
+                    *c
+                });
+                target = my_ck[g];
             }
         }
-        // Harvest one fresh reply per pending group before the next shared
-        // bump (the batched form of Alg. 1 lines 14–17, fanned over
-        // groups: each group's round only completes on a reply answering
-        // the current cursor).
-        //
-        // Helper relevance — some undecided item has not classified the
-        // helper (cf. `quorum_rounds_many`) — is hoisted out of the spin:
-        // a group's sets only change when its round's reply is processed,
-        // after which the group leaves the spin, so one computation per
-        // round keeps each spin pass O(n) per group, not O(n·items).
-        let relevant: Vec<Vec<bool>> = groups
+        cursor = target;
+        // A helper is relevant to a group while some undecided item has not
+        // classified it. The sets only change once the group's reply for
+        // this round is processed, after which the group leaves the spin,
+        // so computing this once per round keeps each spin pass O(n).
+        let relevant: Vec<Vec<bool>> = states
             .iter()
-            .zip(&states)
-            .map(|(g, s)| {
+            .map(|s| {
                 (0..n)
                     .map(|j| {
-                        (0..g.vs.len())
+                        (0..s.outcome.len())
                             .any(|i| s.outcome[i].is_none() && !s.set1[i][j] && !s.set0[i][j])
                     })
                     .collect()
@@ -414,56 +172,85 @@ pub fn verify_quorum_groups<V: Value>(
         let mut remaining = need.iter().filter(|x| **x).count();
         while remaining > 0 {
             env.check_running()?;
-            for (gi, g) in groups.iter().enumerate() {
-                if !need[gi] {
+            for (g, &(parts, _)) in groups.iter().enumerate() {
+                if !need[g] {
                     continue;
                 }
-                let s = &mut states[gi];
-                let fresh = (0..n).find_map(|j| {
-                    if !relevant[gi][j] {
-                        return None;
-                    }
-                    let (r_j, c_j) = g.parts.replies[j].read();
-                    (c_j >= cursor).then_some((j, r_j))
+                // Lines 14-17: read R_{j,k} of every relevant p_j until one
+                // carries a timestamp >= Ck.
+                let fresh = (0..n).filter(|&j| relevant[g][j]).find_map(|j| {
+                    let (r_j, c_j) = parts.replies[j].read();
+                    (c_j >= my_ck[g]).then_some((j, r_j))
                 });
                 let Some((j, r_j)) = fresh else { continue };
-                // One physical reply feeds every item that would accept it.
-                for i in 0..g.vs.len() {
+                let s = &mut states[g];
+                for i in 0..s.outcome.len() {
                     if s.outcome[i].is_some() || s.set1[i][j] || s.set0[i][j] {
                         continue;
                     }
-                    if r_j.contains(&g.vs[i]) {
-                        s.set1[i][j] = true;
-                        s.n1[i] += 1;
-                        s.set0[i] = vec![false; n];
-                        s.n0[i] = 0;
-                    } else {
-                        s.set0[i][j] = true;
-                        s.n0[i] += 1;
+                    match tally(g, i, j, &r_j) {
+                        Ballot::Affirm => {
+                            // Lines 18-20: set1 <- set1 ∪ {pj}; set0 <- ∅.
+                            s.set1[i][j] = true;
+                            s.n1[i] += 1;
+                            s.set0[i] = vec![false; n];
+                            s.n0[i] = 0;
+                        }
+                        Ballot::Dissent => {
+                            // Lines 21-22: set0 <- set0 ∪ {pj}.
+                            s.set0[i][j] = true;
+                            s.n0[i] += 1;
+                        }
                     }
-                    let decided = if s.n1[i] >= n - f {
-                        Some(true)
-                    } else if s.n0[i] > f {
-                        Some(false)
-                    } else {
-                        None
-                    };
-                    if decided.is_some() {
-                        s.outcome[i] = decided;
+                    // Lines 23-24 (and Alg. 3 lines 20-22): the decision rule.
+                    if let Some(t) = decide(g, i, s.n1[i], s.n0[i]) {
+                        s.outcome[i] = Some(t);
                         s.pending -= 1;
                         pending_total -= 1;
                     }
                 }
-                need[gi] = false;
+                need[g] = false;
                 remaining -= 1;
             }
         }
     }
-
     Ok(states
         .into_iter()
-        .map(|s| s.outcome.into_iter().map(|o| o.expect("all items decided")).collect())
+        .map(|s| s.outcome.into_iter().map(|t| t.expect("all items decided")).collect())
         .collect())
+}
+
+/// `Verify` over [`quorum_groups`] (Alg. 1 lines 11–24, Alg. 2 lines
+/// 10–23): group `g` checks each value of `groups[g].1` against the
+/// helpers' witness sets; `|set1| ≥ n − f` decides `true`, `|set0| > f`
+/// decides `false`. One group with one value is a single `Verify`; the
+/// authenticated `Read`'s internal `Verify(−)`, a reader's `verify_many`
+/// and the keyed store's fused cross-key batch are the same call.
+///
+/// # Errors
+///
+/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
+/// mid-operation.
+pub fn verify_groups<V: Value>(
+    env: &Env,
+    groups: &[(&EngineParts<BTreeSet<V>>, &[V])],
+) -> Result<Vec<Vec<bool>>> {
+    let (n, f) = (env.n(), env.f());
+    let shape: Vec<_> = groups.iter().map(|&(parts, vs)| (parts, vs.len())).collect();
+    quorum_groups(
+        env,
+        &shape,
+        |g, i, _, r_j| if r_j.contains(&groups[g].1[i]) { Ballot::Affirm } else { Ballot::Dissent },
+        |_, _, n1, n0| {
+            if n1 >= n - f {
+                Some(true)
+            } else if n0 > f {
+                Some(false)
+            } else {
+                None
+            }
+        },
+    )
 }
 
 /// Tracks the asker/`prev_ck` handshake of the `Help()` procedures
@@ -646,96 +433,95 @@ mod tests {
         assert_eq!(askers, vec![0, 1]);
     }
 
-    #[test]
-    fn verify_quorum_true_with_full_witness_sets() {
-        // n = 4, f = 1: all four reply registers already carry the value with
-        // a huge timestamp, so the loop should return true without helpers.
-        let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            let mut set = BTreeSet::new();
-            set.insert(7u32);
-            let (_w, r) =
-                register::swmr(env.gate(), ProcessId::new(j), format!("R{j}2"), (set, u64::MAX));
-            cols.push(r);
-        }
-        let got = verify_quorum(&env, &ck_w, &cols, &7).unwrap();
-        assert!(got);
+    /// Reader `p2`'s engine handles over a reply column whose helper `p_j`
+    /// holds `reply(j)`, plus a read port of its asker counter.
+    fn column<W: Value>(
+        sys: &System,
+        tag: &str,
+        reply: impl Fn(usize) -> Tagged<W>,
+    ) -> (EngineParts<W>, ReadPort<u64>) {
+        let env = sys.env();
+        let (ck, ck_r) = register::swmr(env.gate(), ProcessId::new(2), format!("C{tag}"), 0u64);
+        let replies = (1..=env.n())
+            .map(|j| {
+                register::swmr(env.gate(), ProcessId::new(j), format!("R{j}{tag}"), reply(j)).1
+            })
+            .collect();
+        (EngineParts { ck, replies, demand: sys.new_help_shard().new_demand() }, ck_r)
+    }
+
+    /// A ready-to-answer column: every helper witnesses `witnessed` at a
+    /// huge timestamp, so the loop decides without any helper running.
+    fn ready(sys: &System, tag: &str, witnessed: &[u32]) -> EngineParts<BTreeSet<u32>> {
+        column(sys, tag, |_| (witnessed.iter().copied().collect(), u64::MAX)).0
+    }
+
+    /// A column nobody ever answers (stale timestamps).
+    fn stale(sys: &System, tag: &str) -> EngineParts<BTreeSet<u32>> {
+        column(sys, tag, |_| (BTreeSet::new(), 0)).0
+    }
+
+    /// Runs `verify_groups` as reader `p2` and returns its outcomes and the
+    /// gate steps it took.
+    fn run(
+        sys: &System,
+        groups: &[(&EngineParts<BTreeSet<u32>>, &[u32])],
+    ) -> (Result<Vec<Vec<bool>>>, u64) {
+        let env = sys.env();
+        let before = env.gate().steps();
+        let got = env.run_as(ProcessId::new(2), || verify_groups(env, groups));
+        (got, env.gate().steps() - before)
     }
 
     #[test]
-    fn verify_quorum_false_when_enough_fresh_noes() {
+    fn verify_true_with_full_witness_sets() {
+        // n = 4, f = 1: three rounds of one C_k bump and one reply read
+        // each decide `true` — 6 steps. No C_k read precedes the first
+        // bump: over MP every access is a protocol round trip.
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            let (_w, r) = register::swmr(
-                env.gate(),
-                ProcessId::new(j),
-                format!("R{j}2"),
-                (BTreeSet::<u32>::new(), u64::MAX),
-            );
-            cols.push(r);
-        }
-        let got = verify_quorum(&env, &ck_w, &cols, &7).unwrap();
-        assert!(!got, "f + 1 = 2 empty replies suffice for false");
+        let parts = ready(&sys, "2", &[7]);
+        let (got, steps) = run(&sys, &[(&parts, &[7])]);
+        assert_eq!(got.unwrap(), vec![vec![true]]);
+        assert_eq!(steps, 6);
     }
 
     #[test]
-    fn verify_quorum_aborts_on_shutdown() {
+    fn verify_false_when_enough_fresh_noes() {
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            // Stale timestamps: nobody ever replies.
-            let (_w, r) = register::swmr(
-                env.gate(),
-                ProcessId::new(j),
-                format!("R{j}2"),
-                (BTreeSet::<u32>::new(), 0u64),
-            );
-            cols.push(r);
-        }
+        let parts = ready(&sys, "2", &[]);
+        let (got, _) = run(&sys, &[(&parts, &[7])]);
+        assert_eq!(got.unwrap(), vec![vec![false]], "f + 1 = 2 empty replies suffice for false");
+    }
+
+    #[test]
+    fn verify_aborts_on_shutdown() {
+        let sys = System::builder(4).build();
+        let one = stale(&sys, "a");
+        let other = stale(&sys, "b");
         sys.shutdown();
-        let got = verify_quorum(&env, &ck_w, &cols, &7);
-        assert!(got.is_err());
+        assert!(run(&sys, &[(&one, &[7])]).0.is_err());
+        assert!(run(&sys, &[(&one, &[7, 8]), (&other, &[9])]).0.is_err());
     }
 
     #[test]
-    fn quorum_rounds_supports_non_boolean_decisions() {
+    fn quorum_groups_supports_non_boolean_decisions() {
         // A sticky-style decision: count per-value affirmations.
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            let (_w, r) = register::swmr(
-                env.gate(),
-                ProcessId::new(j),
-                format!("R{j}2"),
-                (Some(9u32), u64::MAX),
-            );
-            cols.push(r);
-        }
-        let n = env.n();
-        let f = env.f();
+        let env = sys.env();
+        let (parts, _) = column(&sys, "2", |_| (Some(9u32), u64::MAX));
+        let (n, f) = (env.n(), env.f());
         let votes = std::cell::RefCell::new(std::collections::BTreeMap::new());
-        let got: Option<u32> = quorum_rounds(
-            &env,
-            &ck_w,
-            &cols,
-            |_, slot: Option<u32>| match slot {
+        let got: Vec<Vec<Option<u32>>> = quorum_groups(
+            env,
+            &[(&parts, 1)],
+            |_, _, _, slot: &Option<u32>| match slot {
                 Some(v) => {
-                    *votes.borrow_mut().entry(v).or_insert(0usize) += 1;
+                    *votes.borrow_mut().entry(*v).or_insert(0usize) += 1;
                     Ballot::Affirm
                 }
                 None => Ballot::Dissent,
             },
-            |_n1, n0| {
+            |_, _, _n1, n0| {
                 if let Some((v, _)) = votes.borrow().iter().find(|(_, c)| **c >= n - f) {
                     return Some(Some(*v));
                 }
@@ -743,168 +529,65 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(got, Some(9));
+        assert_eq!(got, vec![vec![Some(9)]]);
     }
 
     #[test]
-    fn verify_quorum_many_decides_each_value_independently() {
+    fn one_group_decides_each_value_independently() {
         // Replies witness {3, 7} everywhere: 3 and 7 decide true, 9 decides
         // false, all in one shared round sequence.
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, ck_r) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            let mut set = BTreeSet::new();
-            set.insert(3u32);
-            set.insert(7u32);
-            let (_w, r) =
-                register::swmr(env.gate(), ProcessId::new(j), format!("R{j}2"), (set, u64::MAX));
-            cols.push(r);
-        }
-        let got = verify_quorum_many(&env, &ck_w, &cols, &[3, 9, 7]).unwrap();
-        assert_eq!(got, vec![true, false, true]);
-        assert!(ck_r.read() >= 1, "the batch bumped the shared asker counter");
+        let (parts, ck) = column(&sys, "2", |_| ([3u32, 7].into_iter().collect(), u64::MAX));
+        let (got, _) = run(&sys, &[(&parts, &[3, 9, 7])]);
+        assert_eq!(got.unwrap(), vec![vec![true, false, true]]);
+        assert_eq!(ck.read(), 3, "the batch shared three rounds");
     }
 
     #[test]
-    fn verify_quorum_many_on_empty_batch_takes_no_steps() {
+    fn empty_runs_take_no_steps() {
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, ck_r) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let cols: Vec<ReadPort<Reply<u32>>> = (1..=4)
-            .map(|j| {
-                register::swmr(
-                    env.gate(),
-                    ProcessId::new(j),
-                    format!("R{j}2"),
-                    (BTreeSet::new(), 0u64),
-                )
-                .1
-            })
-            .collect();
-        let got = verify_quorum_many::<u32>(&env, &ck_w, &cols, &[]).unwrap();
-        assert!(got.is_empty());
-        assert_eq!(ck_r.read(), 0, "no rounds were run");
+        assert!(run(&sys, &[]).0.unwrap().is_empty());
+        let (parts, ck) = column(&sys, "a", |_| (BTreeSet::<u32>::new(), 0));
+        let (got, steps) = run(&sys, &[(&parts, &[])]);
+        assert_eq!(got.unwrap(), vec![Vec::<bool>::new()]);
+        assert_eq!((steps, ck.read()), (0, 0), "an all-empty batch runs no rounds");
     }
 
     #[test]
-    fn quorum_rounds_many_matches_single_engine_outcomes() {
+    fn batched_values_match_single_value_runs() {
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            let mut set = BTreeSet::new();
-            set.insert(5u32);
-            let (_w, r) =
-                register::swmr(env.gate(), ProcessId::new(j), format!("R{j}2"), (set, u64::MAX));
-            cols.push(r);
-        }
-        let (ck_a, _) = register::swmr(env.gate(), ProcessId::new(2), "Ca", 0u64);
-        let batched = verify_quorum_many(&env, &ck_a, &cols, &[5u32, 6]).unwrap();
-        let (ck_b, _) = register::swmr(env.gate(), ProcessId::new(2), "Cb", 0u64);
-        let singles = vec![
-            verify_quorum(&env, &ck_b, &cols, &5u32).unwrap(),
-            verify_quorum(&env, &ck_b, &cols, &6u32).unwrap(),
-        ];
-        assert_eq!(batched, singles);
+        let a = ready(&sys, "a", &[5]);
+        let b = ready(&sys, "b", &[5]);
+        let batched = run(&sys, &[(&a, &[5, 6])]).0.unwrap();
+        let singles: Vec<bool> =
+            [5, 6].iter().map(|v| run(&sys, &[(&b, &[*v])]).0.unwrap()[0][0]).collect();
+        assert_eq!(batched, vec![singles]);
     }
 
     #[test]
-    fn quorum_rounds_many_aborts_on_shutdown() {
+    fn groups_match_per_register_outcomes_in_fewer_steps() {
+        // Both groups decide in three rounds, each round one fanned-out
+        // bump and one reply read per group: 12 steps.
         let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C2", 0u64);
-        let mut cols = Vec::new();
-        for j in 1..=4 {
-            // Stale timestamps: nobody ever replies.
-            let (_w, r) = register::swmr(
-                env.gate(),
-                ProcessId::new(j),
-                format!("R{j}2"),
-                (BTreeSet::<u32>::new(), 0u64),
-            );
-            cols.push(r);
-        }
-        sys.shutdown();
-        assert!(verify_quorum_many(&env, &ck_w, &cols, &[7]).is_err());
-    }
-
-    /// A ready-to-answer reply column (every helper witnesses `witnessed`
-    /// at a huge timestamp) plus its asker counter, as one fused group.
-    fn ready_group(
-        sys: &System,
-        tag: &str,
-        witnessed: &[u32],
-        vs: &[u32],
-    ) -> (VerifyGroup<u32>, ReadPort<u64>) {
-        let env = sys.env();
-        let (ck_w, ck_r) = register::swmr(env.gate(), ProcessId::new(2), format!("C{tag}"), 0u64);
-        let replies = (1..=env.n())
-            .map(|j| {
-                let set: BTreeSet<u32> = witnessed.iter().copied().collect();
-                register::swmr(env.gate(), ProcessId::new(j), format!("R{j}{tag}"), (set, u64::MAX))
-                    .1
-            })
-            .collect();
-        let parts = EngineParts { ck: ck_w, replies, demand: None };
-        (VerifyGroup { parts, vs: vs.to_vec() }, ck_r)
+        let g1 = ready(&sys, "a", &[3, 7]);
+        let g2 = ready(&sys, "b", &[5]);
+        let (got, steps) = run(&sys, &[(&g1, &[3, 9, 7]), (&g2, &[5, 3])]);
+        assert_eq!(got.unwrap(), vec![vec![true, false, true], vec![true, false]]);
+        assert_eq!(steps, 12);
     }
 
     #[test]
-    fn verify_quorum_groups_matches_per_register_outcomes() {
-        let sys = System::builder(4).build();
-        let (g1, _) = ready_group(&sys, "a", &[3, 7], &[3, 9, 7]);
-        let (g2, _) = ready_group(&sys, "b", &[5], &[5, 3]);
-        let got = verify_quorum_groups(sys.env(), &[g1, g2]).unwrap();
-        assert_eq!(got, vec![vec![true, false, true], vec![true, false]]);
-    }
-
-    #[test]
-    fn verify_quorum_groups_shares_one_logical_counter() {
+    fn groups_share_one_logical_counter() {
         // The fused engine drives every group's C_k to the *same* cursor
         // value — one logical asker counter per reader, fanned out — even
         // when the groups start from different counter values.
         let sys = System::builder(4).build();
-        let (g1, ck1) = ready_group(&sys, "a", &[1], &[1]);
-        let (g2, ck2) = ready_group(&sys, "b", &[2], &[2, 9]);
-        g1.parts.ck.write(17); // a prior per-register history
-        let _ = verify_quorum_groups(sys.env(), &[g1, g2]).unwrap();
+        let (g1, ck1) = column(&sys, "a", |_| ([1u32].into_iter().collect(), u64::MAX));
+        let (g2, ck2) = column(&sys, "b", |_| ([2u32].into_iter().collect(), u64::MAX));
+        g1.ck.write(17); // a prior per-register history
+        let _ = run(&sys, &[(&g1, &[1]), (&g2, &[2, 9])]).0.unwrap();
         assert_eq!(ck1.read(), ck2.read(), "both registers end at the shared cursor");
         assert!(ck1.read() > 17, "the cursor starts above every group's counter");
-    }
-
-    #[test]
-    fn verify_quorum_groups_handles_empty_input() {
-        let sys = System::builder(4).build();
-        assert!(verify_quorum_groups::<u32>(sys.env(), &[]).unwrap().is_empty());
-        let (g, ck) = ready_group(&sys, "a", &[1], &[]);
-        let got = verify_quorum_groups(sys.env(), &[g]).unwrap();
-        assert_eq!(got, vec![Vec::<bool>::new()]);
-        assert_eq!(ck.read(), 0, "an all-empty batch runs no rounds");
-    }
-
-    #[test]
-    fn verify_quorum_groups_aborts_on_shutdown() {
-        let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C", 0u64);
-        let replies = (1..=4)
-            .map(|j| {
-                // Stale timestamps: nobody ever replies.
-                register::swmr(
-                    env.gate(),
-                    ProcessId::new(j),
-                    format!("R{j}"),
-                    (BTreeSet::<u32>::new(), 0u64),
-                )
-                .1
-            })
-            .collect();
-        sys.shutdown();
-        let groups =
-            [VerifyGroup { parts: EngineParts { ck: ck_w, replies, demand: None }, vs: vec![7] }];
-        assert!(verify_quorum_groups(&env, &groups).is_err());
     }
 
     #[test]

@@ -42,7 +42,9 @@ use byzreg_runtime::{
 };
 use byzreg_spec::registers::{StickyInv, StickyResp};
 
-use crate::quorum::{quorum_rounds, AskerTracker, Ballot, Endpoints, QuorumFabric, Tagged};
+use crate::quorum::{
+    quorum_groups, AskerTracker, Ballot, Endpoints, EngineParts, QuorumFabric, Tagged,
+};
 
 /// `⊥`-able register content (`None` = `⊥`).
 pub type Slot<V> = Option<V>;
@@ -110,10 +112,10 @@ pub struct StickyRegister<V> {
     roles: Roles,
     shared: SharedPorts<V>,
     endpoints: Endpoints<ProcessPorts<V>>,
-    /// `Some` when hosted on a demand-driven help shard (keyed-store
-    /// installs). Both handles use it: the reader's quorum `Read` *and*
-    /// the writer's witness wait (lines 3–5) depend on helpers running.
-    demand: Option<HelpDemand>,
+    /// The demand handle of the instance's help shard. Both handles use
+    /// it: the reader's quorum `Read` *and* the writer's witness wait
+    /// (lines 3–5) depend on helpers running.
+    demand: HelpDemand,
     log: HistoryLog<StickyInv<V>, StickyResp<V>>,
 }
 
@@ -136,7 +138,7 @@ impl<V: Value> StickyRegister<V> {
     /// Panics if `n <= 3f`.
     pub fn install_for_writer(system: &System, writer: ProcessId) -> Self {
         let roles = Roles::with_writer(system.env().n(), writer);
-        Self::install_impl(system, &LocalFactory, roles, None)
+        Self::install_impl(system, &LocalFactory, roles, &system.new_help_shard())
     }
 
     /// Like [`StickyRegister::install`], but sourcing base registers from
@@ -146,16 +148,16 @@ impl<V: Value> StickyRegister<V> {
     ///
     /// Panics if `n <= 3f`.
     pub fn install_with<F: RegisterFactory>(system: &System, factory: &F) -> Self {
-        let roles = Roles::identity(system.env().n());
-        Self::install_impl(system, factory, roles, None)
+        Self::install_in_shard(system, factory, &system.new_help_shard())
     }
 
     /// Like [`StickyRegister::install_with`], but hosts the instance's
     /// `Help()` tasks on the demand-driven help shard `shard` (see
-    /// `byzreg_runtime::HelpShard`): helpers tick only while one of this
-    /// instance's operations — a quorum `Read` or a `Write` waiting for
-    /// its `n − f` witnesses — is in flight. Used by the keyed store,
-    /// which partitions its keys' helping by store shard.
+    /// `byzreg_runtime::HelpShard`) instead of a fresh shard of its own:
+    /// helpers tick only while an operation on one of the shard's
+    /// instances — a quorum `Read` or a `Write` waiting for its `n − f`
+    /// witnesses — is in flight. The keyed store partitions its keys'
+    /// helping by store shard through this.
     ///
     /// # Panics
     ///
@@ -166,14 +168,14 @@ impl<V: Value> StickyRegister<V> {
         shard: &HelpShard,
     ) -> Self {
         let roles = Roles::identity(system.env().n());
-        Self::install_impl(system, factory, roles, Some(shard))
+        Self::install_impl(system, factory, roles, shard)
     }
 
     fn install_impl<F: RegisterFactory>(
         system: &System,
         factory: &F,
         roles: Roles,
-        shard: Option<&HelpShard>,
+        shard: &HelpShard,
     ) -> Self {
         let env = system.env().clone();
         env.require_n_gt_3f();
@@ -204,7 +206,7 @@ impl<V: Value> StickyRegister<V> {
             askers: fabric.asker_ports(),
         };
 
-        let demand = shard.map(HelpShard::new_demand);
+        let demand = shard.new_demand();
         for j in 1..=n {
             let task = HelpTask3 {
                 env: env.clone(),
@@ -214,12 +216,7 @@ impl<V: Value> StickyRegister<V> {
                 replies_w: fabric.reply_row(j),
                 tracker: AskerTracker::new(n - 1),
             };
-            match (shard, &demand) {
-                (Some(s), Some(d)) => {
-                    system.add_sharded_help_task(s, roles.actual(j), d, Box::new(task));
-                }
-                _ => system.add_help_task(roles.actual(j), Box::new(task)),
-            }
+            system.add_sharded_help_task(shard, roles.actual(j), &demand, Box::new(task));
         }
 
         let mut endpoints = Vec::with_capacity(n);
@@ -298,9 +295,11 @@ impl<V: Value> StickyRegister<V> {
         StickyReader {
             env: self.env.clone(),
             pid,
-            ck_w: ports.asker_w.expect("reader ports"),
-            reply_column: self.shared.reply_column(role),
-            demand: self.demand.clone(),
+            parts: EngineParts {
+                ck: ports.asker_w.expect("reader ports"),
+                replies: self.shared.reply_column(role),
+                demand: self.demand.clone(),
+            },
             log: self.log.clone(),
         }
     }
@@ -347,7 +346,7 @@ pub struct StickyWriter<V> {
     pid: ProcessId,
     e1_w: WritePort<Slot<V>>,
     witness: Vec<ReadPort<Slot<V>>>,
-    demand: Option<HelpDemand>,
+    demand: HelpDemand,
     log: HistoryLog<StickyInv<V>, StickyResp<V>>,
 }
 
@@ -363,9 +362,6 @@ impl<V: Value> StickyWriter<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn write(&mut self, v: V) -> Result<()> {
         self.env.check_running()?;
-        // The witness wait of lines 3-5 terminates only through the help
-        // tasks' echo/witness stages: keep the shard awake for the write.
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
         let op = self.log.invoke(self.pid, StickyInv::Write(v.clone()));
         let result = self.env.run_as(self.pid, || -> Result<()> {
             // Line 1: if E1 ≠ ⊥ then return done. Line 2: E1 <- v.
@@ -382,6 +378,9 @@ impl<V: Value> StickyWriter<V> {
             if !first {
                 return Ok(()); // line 1
             }
+            // The witness wait of lines 3-5 terminates only through the
+            // help tasks' echo/witness stages: keep the shard awake for it.
+            let _help = self.demand.begin();
             // Lines 3-5: wait until n−f processes have R_i = v.
             let need = self.env.n_minus_f();
             loop {
@@ -445,9 +444,9 @@ impl<V: Value> std::fmt::Debug for StickyWriter<V> {
 pub struct StickyReader<V> {
     env: Env,
     pid: ProcessId,
-    ck_w: WritePort<u64>,
-    reply_column: Vec<ReadPort<Reply<V>>>,
-    demand: Option<HelpDemand>,
+    /// The reader's §5.1 engine handles (asker counter, reply column,
+    /// help-shard demand); the trait layer's fused runs borrow them.
+    pub(crate) parts: EngineParts<Slot<V>>,
     log: HistoryLog<StickyInv<V>, StickyResp<V>>,
 }
 
@@ -465,48 +464,51 @@ impl<V: Value> StickyReader<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn read(&mut self) -> Result<Slot<V>> {
         self.env.check_running()?;
-        // The quorum rounds of lines 7-22 need helpers: keep the shard
-        // awake for the read.
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
         let op = self.log.invoke(self.pid, StickyInv::Read);
-        let outcome = self.env.run_as(self.pid, || self.read_procedure())?;
+        let outcome =
+            self.env.run_as(self.pid, || read_groups(&self.env, &[&self.parts]))?.remove(0);
         self.log.respond(op, self.pid, StickyResp::ReadValue(outcome.clone()));
         Ok(outcome)
     }
+}
 
-    fn read_procedure(&self) -> Result<Slot<V>> {
-        let n = self.env.n();
-        let f = self.env.f();
-        // Lines 7-22, via the shared §5.1 round engine: `setval` entries are
-        // affirmations (they accumulate in `votes`), `⊥`-replies are
-        // dissents, and a dissent set larger than `f` decides `⊥`. The
-        // engine's set0-reset on affirmation is exactly line 17
-        // (`set⊥ <- ∅`).
-        let votes: std::cell::RefCell<std::collections::BTreeMap<V, usize>> =
-            std::cell::RefCell::new(std::collections::BTreeMap::new());
-        quorum_rounds(
-            &self.env,
-            &self.ck_w,
-            &self.reply_column,
-            |_, u_j: Slot<V>| match u_j {
-                Some(v) => {
-                    // Lines 15-16: setval ∪= {⟨uj, pj⟩} (each pj classifies
-                    // at most once, so counting per value is exact).
-                    *votes.borrow_mut().entry(v).or_insert(0) += 1;
-                    Ballot::Affirm
-                }
-                None => Ballot::Dissent, // lines 18-19
-            },
-            |_n1, n_bot| {
-                // Lines 20-21: a value witnessed by >= n−f processes wins.
-                if let Some((v, _)) = votes.borrow().iter().find(|(_, c)| **c >= n - f) {
-                    return Some(Some(v.clone()));
-                }
-                // Line 22.
-                (n_bot > f).then_some(None)
-            },
-        )
-    }
+/// The `Read` procedure of Alg. 3 lines 7–22 for every group of one
+/// reader, in one fused run of the shared §5.1 round engine
+/// ([`quorum_groups`]); returns one read value per group. `setval` entries
+/// are affirmations (they accumulate in the group's `votes`), `⊥`-replies
+/// are dissents, and a dissent set larger than `f` decides `⊥`. The
+/// engine's set0-reset on affirmation is exactly line 17 (`set⊥ <- ∅`).
+///
+/// # Errors
+///
+/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
+/// mid-operation.
+pub fn read_groups<V: Value>(env: &Env, groups: &[&EngineParts<Slot<V>>]) -> Result<Vec<Slot<V>>> {
+    let (n, f) = (env.n(), env.f());
+    let votes = std::cell::RefCell::new(vec![std::collections::BTreeMap::new(); groups.len()]);
+    let shape: Vec<_> = groups.iter().map(|&parts| (parts, 1)).collect();
+    let outcomes = quorum_groups(
+        env,
+        &shape,
+        |g, _, _, u_j: &Slot<V>| match u_j {
+            Some(v) => {
+                // Lines 15-16: setval ∪= {⟨uj, pj⟩} (each pj classifies at
+                // most once, so counting per value is exact).
+                *votes.borrow_mut()[g].entry(v.clone()).or_insert(0) += 1;
+                Ballot::Affirm
+            }
+            None => Ballot::Dissent, // lines 18-19
+        },
+        |g, _, _n1, n_bot| {
+            // Lines 20-21: a value witnessed by >= n−f processes wins.
+            if let Some((v, _)) = votes.borrow()[g].iter().find(|(_, c)| **c >= n - f) {
+                return Some(Some(v.clone()));
+            }
+            // Line 22.
+            (n_bot > f).then_some(None)
+        },
+    )?;
+    Ok(outcomes.into_iter().map(|mut o| o.remove(0)).collect())
 }
 
 impl<V: Value> std::fmt::Debug for StickyReader<V> {

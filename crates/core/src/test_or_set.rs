@@ -304,7 +304,7 @@ pub mod naive {
     //!   but the Figure 1 history **H3** makes `f` Byzantine vouchers forge
     //!   a `Set` that never happened, violating Lemma 28(2).
 
-    use byzreg_runtime::{register, ReadPort, WritePort};
+    use byzreg_runtime::{register, HelpDemandGuard, ReadPort, WritePort};
 
     use super::*;
 
@@ -335,6 +335,8 @@ pub mod naive {
         vouch_r: Vec<ReadPort<bool>>,
         endpoints: parking_lot::Mutex<Vec<Option<WritePort<bool>>>>,
         log: TosHistory,
+        /// Keeps the propagation tasks ticking while the object lives.
+        _help: HelpDemandGuard,
     }
 
     impl NaiveTestOrSet {
@@ -373,14 +375,19 @@ pub mod naive {
                 vouch_r.push(r);
             }
             // Propagation help task (correct processes only): vouch upon
-            // seeing V_1 or f+1 vouchers.
+            // seeing V_1 or f+1 vouchers. No operation asks for it, so the
+            // object keeps its shard's demand for its whole lifetime.
+            let shard = system.new_help_shard();
+            let demand = shard.new_demand();
             for j in 1..=n {
                 let all = vouch_r.clone();
                 let own = vouch_w[j - 1].clone();
                 let f = env.f();
                 let asleep = sleepers.get(&ProcessId::new(j)).cloned();
-                system.add_help_task(
+                system.add_sharded_help_task(
+                    &shard,
                     ProcessId::new(j),
+                    &demand,
                     Box::new(move || {
                         if let Some(flag) = &asleep {
                             if flag.load(std::sync::atomic::Ordering::SeqCst) {
@@ -403,6 +410,7 @@ pub mod naive {
                 vouch_r,
                 endpoints: parking_lot::Mutex::new(vouch_w.into_iter().map(Some).collect()),
                 log: HistoryLog::new(env.clock()),
+                _help: demand.begin(),
             }
         }
 

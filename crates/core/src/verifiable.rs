@@ -43,9 +43,7 @@ use byzreg_runtime::{
 };
 use byzreg_spec::registers::{VerInv, VerResp};
 
-use crate::quorum::{
-    verify_quorum, verify_quorum_many, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
-};
+use crate::quorum::{verify_groups, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply};
 
 /// A process's witness set (the content of `R_i`).
 pub type WitnessSet<V> = BTreeSet<V>;
@@ -123,9 +121,9 @@ pub struct VerifiableRegister<V> {
     v0: V,
     shared: SharedPorts<V>,
     endpoints: Endpoints<ProcessPorts<V>>,
-    /// `Some` when hosted on a demand-driven help shard (keyed-store
-    /// installs); reader handles begin demand around their quorum rounds.
-    demand: Option<HelpDemand>,
+    /// The demand handle of the instance's help shard; reader handles'
+    /// quorum runs begin it (see [`crate::quorum::quorum_groups`]).
+    demand: HelpDemand,
     log: HistoryLog<VerInv<V>, VerResp<V>>,
 }
 
@@ -149,15 +147,15 @@ impl<V: Value> VerifiableRegister<V> {
     ///
     /// Panics if `n <= 3f`.
     pub fn install_with<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        Self::install_impl(system, v0, factory, None)
+        Self::install_in_shard(system, v0, factory, &system.new_help_shard())
     }
 
     /// Like [`VerifiableRegister::install_with`], but hosts the instance's
-    /// `Help()` tasks on the demand-driven help shard `shard` instead of
-    /// the per-process always-on engines: helpers tick only while one of
-    /// this instance's quorum operations is in flight, and the shard's
-    /// engine parks otherwise. Used by the keyed store, which partitions
-    /// its keys' helping by store shard.
+    /// `Help()` tasks on the demand-driven help shard `shard` (see
+    /// `byzreg_runtime::HelpShard`) instead of a fresh shard of its own:
+    /// helpers tick only while a quorum operation on one of the shard's
+    /// instances is in flight. The keyed store partitions its keys'
+    /// helping by store shard through this.
     ///
     /// # Panics
     ///
@@ -167,15 +165,6 @@ impl<V: Value> VerifiableRegister<V> {
         v0: V,
         factory: &F,
         shard: &HelpShard,
-    ) -> Self {
-        Self::install_impl(system, v0, factory, Some(shard))
-    }
-
-    fn install_impl<F: RegisterFactory>(
-        system: &System,
-        v0: V,
-        factory: &F,
-        shard: Option<&HelpShard>,
     ) -> Self {
         let env = system.env().clone();
         env.require_n_gt_3f();
@@ -207,9 +196,8 @@ impl<V: Value> VerifiableRegister<V> {
         };
 
         // Attach Help() to every correct process (System drops tasks for
-        // declared-Byzantine pids) — on the given help shard, demand-gated,
-        // or on the always-on per-process engines.
-        let demand = shard.map(HelpShard::new_demand);
+        // declared-Byzantine pids) on the help shard, demand-gated.
+        let demand = shard.new_demand();
         for j in 1..=n {
             let task = HelpTask1 {
                 env: env.clone(),
@@ -218,12 +206,7 @@ impl<V: Value> VerifiableRegister<V> {
                 replies_w: fabric.reply_row(j),
                 tracker: AskerTracker::new(n - 1),
             };
-            match (shard, &demand) {
-                (Some(s), Some(d)) => {
-                    system.add_sharded_help_task(s, ProcessId::new(j), d, Box::new(task));
-                }
-                _ => system.add_help_task(ProcessId::new(j), Box::new(task)),
-            }
+            system.add_sharded_help_task(shard, ProcessId::new(j), &demand, Box::new(task));
         }
 
         // Per-process port bundles for handles / adversaries.
@@ -303,10 +286,12 @@ impl<V: Value> VerifiableRegister<V> {
         VerifiableReader {
             env: self.env.clone(),
             pid,
-            ck_w: ports.asker_w.expect("reader ports"),
-            reply_column: self.shared.reply_column(pid),
+            parts: EngineParts {
+                ck: ports.asker_w.expect("reader ports"),
+                replies: self.shared.reply_column(pid),
+                demand: self.demand.clone(),
+            },
             r_star: self.shared.r_star.clone(),
-            demand: self.demand.clone(),
             log: self.log.clone(),
         }
     }
@@ -414,10 +399,10 @@ impl<V: Value> std::fmt::Debug for VerifiableWriter<V> {
 pub struct VerifiableReader<V> {
     env: Env,
     pid: ProcessId,
-    ck_w: WritePort<u64>,
-    reply_column: Vec<ReadPort<Reply<V>>>,
+    /// The reader's §5.1 engine handles (asker counter, reply column,
+    /// help-shard demand); the trait layer's fused runs borrow them.
+    pub(crate) parts: EngineParts<WitnessSet<V>>,
     r_star: ReadPort<V>,
-    demand: Option<HelpDemand>,
     log: HistoryLog<VerInv<V>, VerResp<V>>,
 }
 
@@ -447,22 +432,14 @@ impl<V: Value> VerifiableReader<V> {
     ///
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn verify(&mut self, v: &V) -> Result<bool> {
-        self.env.check_running()?;
-        // Keep the instance's help shard awake for the quorum rounds.
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
-        let op = self.log.invoke(self.pid, VerInv::Verify(v.clone()));
-        let outcome = self
-            .env
-            .run_as(self.pid, || verify_quorum(&self.env, &self.ck_w, &self.reply_column, v))?;
-        self.log.respond(op, self.pid, VerResp::VerifyResult(outcome));
-        Ok(outcome)
+        Ok(self.verify_many(std::slice::from_ref(v))?[0])
     }
 
     /// Batched `Verify`: decides every value of `vs` in **one** shared §5.1
     /// round sequence instead of `vs.len()` of them (the asker counter and
     /// the reply reads are amortized across the batch; see
-    /// [`crate::quorum::quorum_rounds_many`]). Outcomes are returned in
-    /// input order; each is exactly what a standalone
+    /// [`crate::quorum::quorum_groups`]). Outcomes are returned in input
+    /// order; each is exactly what a standalone
     /// [`verify`](VerifiableReader::verify) spanning the batch would return.
     ///
     /// # Errors
@@ -470,30 +447,14 @@ impl<V: Value> VerifiableReader<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn verify_many(&mut self, vs: &[V]) -> Result<Vec<bool>> {
         self.env.check_running()?;
-        let _help = self.demand.as_ref().map(HelpDemand::begin);
         let ops: Vec<_> =
             vs.iter().map(|v| self.log.invoke(self.pid, VerInv::Verify(v.clone()))).collect();
-        let outcomes = self.env.run_as(self.pid, || {
-            verify_quorum_many(&self.env, &self.ck_w, &self.reply_column, vs)
-        })?;
+        let outcomes =
+            self.env.run_as(self.pid, || verify_groups(&self.env, &[(&self.parts, vs)]))?.remove(0);
         for (op, outcome) in ops.into_iter().zip(&outcomes) {
             self.log.respond(op, self.pid, VerResp::VerifyResult(*outcome));
         }
         Ok(outcomes)
-    }
-
-    /// This reader's §5.1 engine handles (asker counter + reply column),
-    /// for fusing verifies across register instances — see
-    /// [`crate::quorum::verify_quorum_groups`]. The handles carry the
-    /// reader's own capabilities only; holding the reader handle is what
-    /// authorizes taking them.
-    #[must_use]
-    pub fn engine_parts(&self) -> EngineParts<V> {
-        EngineParts {
-            ck: self.ck_w.clone(),
-            replies: self.reply_column.clone(),
-            demand: self.demand.clone(),
-        }
     }
 }
 
@@ -646,6 +607,26 @@ mod tests {
         w.sign(&7).unwrap();
         assert!(r.verify(&7).unwrap());
         assert!(!r.verify(&8).unwrap());
+        system.shutdown();
+    }
+
+    #[test]
+    fn standalone_instance_parks_when_idle() {
+        // A standalone install sits on a help shard of its own: with no
+        // quorum operation in flight its engine parks and takes no steps,
+        // and the next verify wakes it.
+        let system = System::builder(4).build();
+        let reg = VerifiableRegister::install(&system, 0u32);
+        let mut w = reg.writer();
+        let mut r = reg.reader(ProcessId::new(2));
+        w.write(7).unwrap();
+        assert!(w.sign(&7).unwrap());
+        let gate = system.env().gate();
+        let before = gate.steps();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(gate.steps(), before, "an idle standalone instance must not step");
+        assert!(r.verify(&7).unwrap());
+        assert_eq!(system.help_engine_threads(), 1, "one shard engine for the instance");
         system.shutdown();
     }
 

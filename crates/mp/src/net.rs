@@ -15,8 +15,13 @@
 //! handed to receivers in `(deliver_at, send seq)` order. Nothing ever
 //! sleeps: jitter shapes the *interleaving* of deliveries (which is what an
 //! asynchronous adversary controls), not wall-clock latency. Two runs with
-//! the same seed and the same send sequence therefore produce the identical
-//! delivery schedule — the property the reactor determinism tests pin down.
+//! the same seed and the same command sequence, each command issued on a
+//! **settled** network (no scheduled or penned message left and the
+//! hosting task idle — see `MpRegister::settle`), therefore produce the
+//! identical delivery schedule — the property the reactor determinism
+//! tests pin down. A command issued while the previous one's leftover
+//! messages are still being delivered takes its virtual `now` and send
+//! `seq` from however far the hosting task has got, so it does not replay.
 //!
 //! # Heap invariants
 //!
@@ -164,6 +169,9 @@ struct NetState<M> {
     adv_draws: u64,
     /// Hold-back pens, one per adversary hold tactic.
     pens: Vec<Pen<M>>,
+    /// `true` while the hosting task drains this network (see
+    /// [`Net::settle`]).
+    draining: bool,
 }
 
 /// The shared fabric of one simulated network: destination queues, the
@@ -213,6 +221,7 @@ impl<M: Send + 'static> Net<M> {
                 trace: traced.then(Vec::new),
                 adv_draws: 0,
                 pens,
+                draining: false,
             }),
             cv: Condvar::new(),
             wake: Mutex::new(None),
@@ -227,6 +236,36 @@ impl<M: Send + 'static> Net<M> {
     /// Installs the wake hook a hosting reactor task is scheduled through.
     pub(crate) fn set_wake(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         *self.wake.lock() = Some(hook);
+    }
+
+    /// Marks the hosting task as draining this network (`true`) or idle
+    /// again (`false`); going idle wakes [`Net::settle`] callers.
+    pub(crate) fn set_draining(&self, draining: bool) {
+        self.state.lock().draining = draining;
+        if !draining {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Blocks until no message is scheduled for a destination marked in
+    /// `managed`, no hold-back pen holds one, and the hosting task is idle
+    /// — the point from which the next command's virtual send instants and
+    /// sequence numbers no longer depend on how far the task has got.
+    /// Waits on the send/idle condvar; never sleeps.
+    ///
+    /// Idleness is the `draining` mark rather than the scheduler's dedup
+    /// flag (the reactor's `queued`, or a group member's `pending`): that
+    /// flag is cleared *before* the task runs, so it reads "idle" for a
+    /// whole drain, and it lives outside this lock, so a change to it
+    /// could not wake a `settle` waiting on this condvar.
+    pub(crate) fn settle(&self, managed: &[bool]) {
+        let mut s = self.state.lock();
+        while s.draining
+            || s.pens.iter().any(|p| !p.held.is_empty())
+            || (0..self.n).any(|d| managed[d] && !s.queues[d].is_empty())
+        {
+            self.cv.wait(&mut s);
+        }
     }
 
     /// Pops the globally next due message among the destinations marked in

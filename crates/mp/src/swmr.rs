@@ -35,10 +35,11 @@
 //! costs **zero** dedicated threads: any number of registers multiplex onto
 //! one [`Reactor`]'s fixed worker pool (see [`crate::reactor`]).
 //!
-//! Liveness caveat (documented in DESIGN.md): reads are guaranteed to
-//! terminate when the writer eventually pauses — the classic cost of
-//! atomic reads without writer-side helping; all tests and benches satisfy
-//! this.
+//! Liveness caveat: reads are guaranteed to terminate when the writer
+//! eventually pauses — the classic cost of atomic reads without
+//! writer-side helping (a read needs `n − f` nodes to report the *same*
+//! `(best, v)`, which a writer that never stops can keep ahead of); all
+//! tests and benches satisfy this.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -314,6 +315,7 @@ struct RegisterTask<V: Value> {
 
 impl<V: Value> ReactorTask for RegisterTask<V> {
     fn run(&mut self) {
+        self.net.set_draining(true);
         loop {
             let mut progress = false;
             for (i, rx) in self.cmds.iter().enumerate() {
@@ -336,9 +338,10 @@ impl<V: Value> ReactorTask for RegisterTask<V> {
                 progress = true;
             }
             if !progress {
-                return;
+                break;
             }
         }
+        self.net.set_draining(false);
     }
 }
 
@@ -452,7 +455,8 @@ pub struct MpConfig {
     pub net: NetConfig,
     /// Adversarial delivery schedule layered over the network's seeded
     /// jitter (inert by default). Same seed + same policy + same command
-    /// sequence ⇒ byte-identical [`MpRegister::delivery_schedule`].
+    /// sequence issued on a settled network ⇒ byte-identical
+    /// [`MpRegister::delivery_schedule`] (see [`MpRegister::settle`]).
     pub adversary: AdversaryPolicy,
     /// Declared-Byzantine nodes: they run no protocol; grab their endpoint
     /// with [`MpRegister::byzantine_endpoint`] to attack.
@@ -664,10 +668,27 @@ impl<V: Value> MpRegister<V> {
 
     /// The delivery order recorded so far as `(from, to)` pairs; `None`
     /// unless the register was spawned with [`MpConfig::trace`] on. Same
-    /// seed + same command sequence ⇒ same schedule.
+    /// seed + same command sequence issued on a settled network ⇒ same
+    /// schedule: [`settle`](MpRegister::settle) before each command and
+    /// before taking this snapshot.
     #[must_use]
     pub fn delivery_schedule(&self) -> Option<DeliverySchedule> {
         self.net.trace()
+    }
+
+    /// Blocks until the register is quiet: no message is scheduled for a
+    /// correct node, no hold-back pen holds one, and its task is idle.
+    ///
+    /// A client command returns as soon as its own decision rule fires,
+    /// while the protocol's remaining messages are still being delivered;
+    /// a command issued then takes its virtual send instants and sequence
+    /// numbers from wherever the task has got. Settling first makes them
+    /// a function of the seed and the command sequence alone. Call it with
+    /// no command in flight and before [`shutdown`](MpRegister::shutdown);
+    /// it waits on a condvar and never sleeps.
+    pub fn settle(&self) {
+        let managed: Vec<bool> = self.cmd_tx.iter().map(Option::is_some).collect();
+        self.net.settle(&managed);
     }
 
     /// Removes the register's task from its scheduler — its own reactor
@@ -955,9 +976,12 @@ mod tests {
         let r = reg.client(ProcessId::new(2));
         let mut results = Vec::new();
         for i in 1..=6u32 {
+            reg.settle();
             w.write(i * 10);
+            reg.settle();
             results.push(r.read());
         }
+        reg.settle();
         let schedule = reg.delivery_schedule().expect("tracing on");
         reg.shutdown();
         (results, schedule)
@@ -994,9 +1018,12 @@ mod tests {
         let r = reg.client(ProcessId::new(2));
         let mut results = Vec::new();
         for i in 1..=6u32 {
+            reg.settle();
             w.write(i * 10);
+            reg.settle();
             results.push(r.read());
         }
+        reg.settle();
         let schedule = reg.delivery_schedule().expect("tracing on");
         reg.shutdown();
         (results, schedule)

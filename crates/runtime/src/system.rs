@@ -3,33 +3,30 @@
 //!
 //! A [`System`] hosts any number of implemented objects (register instances,
 //! broadcast objects, …). Object constructors take the system's [`Env`] to
-//! create base registers and to attach per-process [`HelpTask`]s. Two help
-//! substrates exist:
+//! create base registers and to attach per-process [`HelpTask`]s.
 //!
-//! * **Unsharded engines** ([`System::add_help_task`]): every correct
-//!   process gets one background thread that ticks all of its attached
-//!   tasks continuously — the direct reading of the paper's model where
-//!   each process executes `Help()` "even when it is not currently
-//!   performing any operation on the implemented register" (§5.2).
-//!   Standalone register instances use this.
-//! * **Sharded, demand-driven engines** ([`System::new_help_shard`] +
-//!   [`System::add_sharded_help_task`]): tasks are partitioned into help
-//!   shards, each served by one engine thread that ticks only the tasks
-//!   whose [`HelpDemand`] has a pending quorum round and **parks** on a
-//!   wake counter otherwise (edge-triggered, like the MP reactor's dedup
-//!   flags). A keyed store registers each key's help tasks under the key's
-//!   shard, so background helping cost scales with the *active* keys of
-//!   the touched shards, not with every instantiated key. The paper's
-//!   continuous-`Help()` requirement is preserved per shard: a `Help()`
-//!   round with no pending asker is a no-op (Alg. 1 line 29, Alg. 2 line
-//!   28, Alg. 3 line 33), and every operation whose termination depends on
-//!   helpers holds a demand guard for its whole duration, so the shard's
-//!   engine keeps running exactly while helping can matter.
+//! There is one help substrate: **demand-driven help shards**
+//! ([`System::new_help_shard`] + [`System::add_sharded_help_task`]). Tasks
+//! are partitioned into help shards, each served by one engine thread that
+//! ticks only the tasks whose [`HelpDemand`] has a pending quorum round
+//! and **parks** on a wake counter otherwise (edge-triggered, like the MP
+//! reactor's dedup flags). A keyed store registers each key's help tasks
+//! under the key's shard, so background helping cost scales with the
+//! *active* keys of the touched shards, not with every instantiated key; a
+//! standalone object gets a fresh shard of its own. The paper's
+//! continuous-`Help()` requirement (§5.2: each process executes `Help()`
+//! "even when it is not currently performing any operation on the
+//! implemented register") is preserved per shard: a `Help()` round with no
+//! pending asker is a no-op (Alg. 1 line 29, Alg. 2 line 28, Alg. 3 line
+//! 33), and every operation whose termination depends on helpers holds a
+//! demand guard for its whole duration, so the shard's engine keeps
+//! running exactly while helping can matter. A task that must run with no
+//! asker at all holds a guard for its object's lifetime.
 //!
-//! Byzantine processes do **not** run help tasks (in either substrate);
-//! instead an adversary behavior can be installed with
-//! [`System::spawn_byzantine`], which may write arbitrary values — but only
-//! through write ports that the faulty process legitimately owns.
+//! Byzantine processes do **not** run help tasks; instead an adversary
+//! behavior can be installed with [`System::spawn_byzantine`], which may
+//! write arbitrary values — but only through write ports that the faulty
+//! process legitimately owns.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -47,8 +44,8 @@ use crate::pid::ProcessId;
 /// One unit of background helping work.
 ///
 /// `tick` performs a *bounded* amount of work — typically one iteration of
-/// the algorithm's `Help()` while-loop — and returns. The engine calls it
-/// repeatedly until shutdown.
+/// the algorithm's `Help()` while-loop — and returns. The shard engine calls
+/// it repeatedly while the task's demand is pending.
 pub trait HelpTask: Send + 'static {
     /// Performs one iteration of the help procedure.
     fn tick(&mut self);
@@ -411,19 +408,11 @@ impl SystemBuilder {
         };
         System {
             env,
-            engines: Mutex::new((0..self.n).map(|_| None).collect()),
             shard_engines: Mutex::new(HashMap::new()),
             next_shard: AtomicUsize::new(0),
             threads: Mutex::new(Vec::new()),
         }
     }
-}
-
-type TaskList = Arc<Mutex<Vec<Box<dyn HelpTask>>>>;
-
-struct Engine {
-    tasks: TaskList,
-    handle: Option<JoinHandle<()>>,
 }
 
 /// One task hosted on a shard engine: ticked as `pid`, but only while its
@@ -447,7 +436,6 @@ struct ShardEngine {
 /// Dropping the system requests shutdown and joins all background threads.
 pub struct System {
     env: Env,
-    engines: Mutex<Vec<Option<Engine>>>,
     shard_engines: Mutex<HashMap<usize, ShardEngine>>,
     next_shard: AtomicUsize,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -464,32 +452,6 @@ impl System {
     #[must_use]
     pub fn env(&self) -> &Env {
         &self.env
-    }
-
-    /// Attaches a background help task to process `pid`.
-    ///
-    /// Tasks attached to a declared-Byzantine process are silently dropped:
-    /// faulty processes do not execute the protocol (an adversary may be
-    /// installed instead with [`System::spawn_byzantine`]).
-    pub fn add_help_task(&self, pid: ProcessId, task: Box<dyn HelpTask>) {
-        if self.env.is_faulty(pid) {
-            return;
-        }
-        let mut engines = self.engines.lock();
-        let slot = &mut engines[pid.zero_based()];
-        match slot {
-            Some(engine) => engine.tasks.lock().push(task),
-            None => {
-                let tasks: TaskList = Arc::new(Mutex::new(vec![task]));
-                let env = self.env.clone();
-                let loop_tasks = Arc::clone(&tasks);
-                let handle = std::thread::Builder::new()
-                    .name(format!("help-{pid}"))
-                    .spawn(move || help_engine_loop(env, pid, loop_tasks))
-                    .expect("spawn help engine");
-                *slot = Some(Engine { tasks, handle: Some(handle) });
-            }
-        }
     }
 
     /// Allocates a fresh help shard (see [`HelpShard`]).
@@ -511,7 +473,8 @@ impl System {
     /// The shard's engine ticks the task only while `demand` is pending
     /// (see [`HelpDemand`]); with nothing pending anywhere in the shard,
     /// the engine parks. Tasks attached to a declared-Byzantine process are
-    /// silently dropped, exactly as in [`System::add_help_task`].
+    /// silently dropped: faulty processes do not execute the protocol (an
+    /// adversary may be installed instead with [`System::spawn_byzantine`]).
     pub fn add_sharded_help_task(
         &self,
         shard: &HelpShard,
@@ -546,13 +509,12 @@ impl System {
         }
     }
 
-    /// Number of live help-engine threads (unsharded per-process engines
-    /// plus shard engines). A keyed store's budget is its shard count,
-    /// independent of how many keys it instantiated.
+    /// Number of live help-engine threads, one per shard with a task. A
+    /// keyed store's budget is its shard count, independent of how many
+    /// keys it instantiated.
     #[must_use]
     pub fn help_engine_threads(&self) -> usize {
-        let unsharded = self.engines.lock().iter().flatten().count();
-        unsharded + self.shard_engines.lock().len()
+        self.shard_engines.lock().len()
     }
 
     /// Spawns an adversary thread acting as the Byzantine process `pid`.
@@ -600,13 +562,6 @@ impl System {
     /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
         self.env.gate().request_shutdown();
-        let mut engines = self.engines.lock();
-        for engine in engines.iter_mut().flatten() {
-            if let Some(h) = engine.handle.take() {
-                let _ = h.join();
-            }
-        }
-        drop(engines);
         let mut shard_engines = self.shard_engines.lock();
         for engine in shard_engines.values_mut() {
             // Parked engines wait on the shard condvar, not the gate: bump
@@ -689,35 +644,6 @@ fn shard_help_loop(env: &Env, wake: &Arc<ShardWake>, tasks: &ShardTaskList) {
     }
 }
 
-fn help_engine_loop(env: Env, pid: ProcessId, tasks: TaskList) {
-    let _participation = Participation::enter(env.gate(), pid);
-    while !env.is_shutdown() {
-        // Tick every attached task once per engine round. New tasks may be
-        // attached concurrently; index-based access keeps the lock windows
-        // short (a task must not be ticked while the list lock is held, since
-        // ticks perform gated steps that can block).
-        let count = tasks.lock().len();
-        for i in 0..count {
-            if env.is_shutdown() {
-                return;
-            }
-            // Temporarily take the task out so other engine users (none
-            // today, but attach is concurrent) are not blocked.
-            let mut task = {
-                let mut guard = tasks.lock();
-                std::mem::replace(&mut guard[i], Box::new(|| {}))
-            };
-            task.tick();
-            tasks.lock()[i] = task;
-        }
-        // Park at the gate once per round, so idle engines keep the lockstep
-        // dispatch condition satisfiable and busy engines yield fairly.
-        gate::idle_step(&env.gate());
-        // Under free scheduling the engine would otherwise monopolize a core.
-        std::thread::yield_now();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,12 +664,23 @@ mod tests {
         assert_eq!(s.env().f() + 1, 3);
     }
 
+    /// Attaches `task` as `pid`'s on a fresh shard and holds that shard's
+    /// demand for the returned guard's lifetime: the always-on helping of
+    /// an object whose task has no asker.
+    fn always_on(s: &System, pid: ProcessId, task: Box<dyn HelpTask>) -> HelpDemandGuard {
+        let shard = s.new_help_shard();
+        let demand = shard.new_demand();
+        s.add_sharded_help_task(&shard, pid, &demand, task);
+        demand.begin()
+    }
+
     #[test]
     fn help_tasks_run_until_shutdown() {
         let s = System::builder(4).build();
         let count = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&count);
-        s.add_help_task(
+        let _held = always_on(
+            &s,
             ProcessId::new(2),
             Box::new(move || {
                 c.fetch_add(1, Ordering::SeqCst);
@@ -758,21 +695,6 @@ mod tests {
         let after = count.load(Ordering::SeqCst);
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(count.load(Ordering::SeqCst), after, "tasks must stop after shutdown");
-    }
-
-    #[test]
-    fn byzantine_processes_get_no_help_tasks() {
-        let s = System::builder(4).byzantine(ProcessId::new(2)).build();
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        s.add_help_task(
-            ProcessId::new(2),
-            Box::new(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(count.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -800,6 +722,8 @@ mod tests {
 
     #[test]
     fn lockstep_system_runs_help_and_ops_together() {
+        // A helper whose demand is held throughout keeps ticking under the
+        // deterministic scheduler alongside a process's operations.
         let s = System::builder(4).scheduling(Scheduling::Lockstep(5)).build();
         let env = s.env().clone();
         let (w, r) = crate::register::swmr(env.gate(), ProcessId::new(1), "R", 0u32);
@@ -807,7 +731,8 @@ mod tests {
         let seen = Arc::new(AtomicUsize::new(0));
         let seen2 = Arc::clone(&seen);
         let r2 = r.clone();
-        s.add_help_task(
+        let _held = always_on(
+            &s,
             ProcessId::new(2),
             Box::new(move || {
                 seen2.store(r2.read() as usize, Ordering::SeqCst);
@@ -900,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_processes_get_no_sharded_help_tasks() {
+    fn byzantine_processes_get_no_help_tasks() {
         let s = System::builder(4).byzantine(ProcessId::new(2)).build();
         let shard = s.new_help_shard();
         let demand = shard.new_demand();

@@ -9,10 +9,10 @@
 //!
 //! The batched paths are where the store earns its keep under load:
 //! [`ByzStore::verify_many`] groups a batch of `(key, value)` checks by
-//! key, dedupes identical checks, and **fuses** every engine-backed key
-//! into one cross-register §5.1 round sequence — a single logical asker
-//! counter per reader drives all touched registers' voting loops in
-//! lockstep ([`verify_quorum_groups`]), so a batch spanning many keys
+//! key, dedupes identical checks, and **fuses** every key into one
+//! cross-register §5.1 round sequence — a single logical asker counter
+//! per reader drives all touched registers' voting loops in lockstep
+//! ([`SignatureVerifier::verify_fused`]), so a batch spanning many keys
 //! costs the slowest key's rounds, not the sum of every key's rounds.
 //! [`ByzStore::read_many`] likewise answers duplicate keys from a single
 //! quorum read. Under skewed (Zipf-like) traffic the dedupe amortizes hot
@@ -38,7 +38,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use byzreg_core::api::{SignatureRegister, SignatureSigner, SignatureVerifier};
-use byzreg_core::quorum::{verify_quorum_groups, VerifyGroup};
 use byzreg_runtime::{HelpShard, ProcessId, RegisterFactory, Result, System, Value};
 
 /// Store-level tuning knobs.
@@ -253,16 +252,15 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
 
     /// Verifies a batch of `(key, value)` checks, amortizing the quorum
     /// machinery across the **whole batch, across keys**: checks are
-    /// grouped by key, identical checks are deduped, and every
-    /// engine-backed key (verifiable/authenticated) joins one **fused**
-    /// cross-register round sequence driven by a single logical asker
-    /// counter per reader ([`verify_quorum_groups`]) — one shared round
-    /// cursor fanned out to every touched register, so a batch spanning
-    /// `m` keys waits for the slowest key's rounds instead of the sum of
-    /// all keys' rounds. Engine-less keys (sticky) answer their checks
-    /// from one quorum read each, as before. Results are in input order;
-    /// semantically equivalent to calling [`verify`](ByzStore::verify)
-    /// once per check.
+    /// grouped by key, identical checks are deduped, and every key joins
+    /// one **fused** cross-register round sequence driven by a single
+    /// logical asker counter per reader
+    /// ([`SignatureVerifier::verify_fused`]) — one shared round cursor
+    /// fanned out to every touched register, so a batch spanning `m` keys
+    /// waits for the slowest key's rounds instead of the sum of all keys'
+    /// rounds. A sticky key's checks are all answered by one fused `Read`.
+    /// Results are in input order; semantically equivalent to calling
+    /// [`verify`](ByzStore::verify) once per check.
     ///
     /// # Errors
     ///
@@ -272,14 +270,6 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     ///
     /// Panics if `pid` is the writer or declared Byzantine.
     pub fn verify_many(&self, pid: ProcessId, checks: &[(K, V)]) -> Result<Vec<bool>> {
-        enum Plan {
-            /// Outcomes come from fused group `i` of the cross-key run.
-            Fused(usize),
-            /// Outcomes were answered by the key's own batched verifier.
-            Done(Vec<bool>),
-        }
-
-        let mut results = vec![false; checks.len()];
         // Sorted key grouping: the verifier locks below are taken in this
         // global order, so concurrent batches can never deadlock.
         let mut by_key: BTreeMap<&K, Vec<usize>> = BTreeMap::new();
@@ -290,54 +280,37 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
         let handles: Vec<KeyHandle<R::Verifier>> =
             by_key.into_iter().map(|(key, idxs)| (idxs, self.entry(key).verifier(pid))).collect();
 
-        // Engine-backed verifiers stay locked for the whole fused run (the
-        // shared cursor owns each key's asker counter until the batch is
-        // decided); engine-less ones (sticky) answer their checks and
-        // release their lock immediately — holding only one key's lock at
-        // a time, exactly like the unfused per-key path. Acquisition stays
-        // in sorted-key order throughout, so no deadlock either way.
-        let mut fused_guards = Vec::new();
-        let mut fused: Vec<VerifyGroup<V>> = Vec::new();
-        let mut plans = Vec::with_capacity(handles.len());
-        for (idxs, verifier) in &handles {
-            let mut guard = verifier.lock();
+        // Every verifier stays locked for the whole fused run (the shared
+        // cursor owns each key's asker counter until the batch is decided).
+        let guards: Vec<_> = handles.iter().map(|(_, verifier)| verifier.lock()).collect();
+        let mut distinct = Vec::with_capacity(handles.len());
+        let mut slots = Vec::with_capacity(handles.len());
+        for (idxs, _) in &handles {
             // Dedupe identical values for this key: verify once, fan the
             // answer back out to every duplicate check.
             let mut slot_of_value: HashMap<&V, usize> = HashMap::new();
-            let mut distinct: Vec<V> = Vec::new();
-            let mut slots = Vec::with_capacity(idxs.len());
+            let mut values: Vec<V> = Vec::new();
+            let mut key_slots = Vec::with_capacity(idxs.len());
             for &i in idxs {
                 let v = &checks[i].1;
                 let slot = *slot_of_value.entry(v).or_insert_with(|| {
-                    distinct.push(v.clone());
-                    distinct.len() - 1
+                    values.push(v.clone());
+                    values.len() - 1
                 });
-                slots.push(slot);
+                key_slots.push(slot);
             }
-            let plan = match guard.engine_parts() {
-                Some(parts) => {
-                    fused.push(VerifyGroup { parts, vs: distinct });
-                    fused_guards.push(guard);
-                    Plan::Fused(fused.len() - 1)
-                }
-                None => Plan::Done(guard.verify_many(&distinct)?),
-            };
-            plans.push((idxs, slots, plan));
+            distinct.push(values);
+            slots.push(key_slots);
         }
 
-        let fused_outcomes = if fused.is_empty() {
-            Vec::new()
-        } else {
-            let env = self.system.env();
-            env.run_as(pid, || verify_quorum_groups(env, &fused))?
-        };
-        drop(fused_guards);
-        for (idxs, slots, plan) in plans {
-            let outcomes = match plan {
-                Plan::Fused(group) => &fused_outcomes[group],
-                Plan::Done(ref outcomes) => outcomes,
-            };
-            for (&i, &slot) in idxs.iter().zip(&slots) {
+        let groups: Vec<_> =
+            guards.iter().zip(&distinct).map(|(g, vs)| (&**g, vs.as_slice())).collect();
+        let env = self.system.env();
+        let outcomes = env.run_as(pid, || R::Verifier::verify_fused(env, &groups))?;
+        drop(guards);
+        let mut results = vec![false; checks.len()];
+        for (((idxs, _), slots), outcomes) in handles.iter().zip(&slots).zip(&outcomes) {
+            for (&i, &slot) in idxs.iter().zip(slots) {
                 results[i] = outcomes[slot];
             }
         }
@@ -419,10 +392,9 @@ mod tests {
 
     #[test]
     fn verify_many_fused_across_keys_matches_loop_for_all_families() {
-        // Verifiable/authenticated route through the fused cross-key
-        // engine (one logical asker counter per reader); sticky takes the
-        // engine-less one-read-per-key path. All must agree with the
-        // per-check loop.
+        // Every family routes through the fused cross-key engine (one
+        // logical asker counter per reader; sticky keys as one fused
+        // `Read` each). All must agree with the per-check loop.
         fn drive<R: SignatureRegister<u64>>() {
             let system = System::builder(4).build();
             let store: ByzStore<'_, u64, u64, R, _> =

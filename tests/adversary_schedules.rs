@@ -182,10 +182,15 @@ fn traced_run(seed: u64, policy: AdversaryPolicy) -> (Vec<(u64, u32)>, DeliveryS
     let w = reg.client(ProcessId::new(1));
     let r = reg.client(ProcessId::new(2));
     let mut results = Vec::new();
+    // Each command starts on a settled network: its virtual send instants
+    // must not depend on how far the previous command's tail has drained.
     for i in 1..=5u32 {
+        reg.settle();
         w.write(i);
+        reg.settle();
         results.push(r.read());
     }
+    reg.settle();
     let schedule = reg.delivery_schedule().expect("tracing on");
     reg.shutdown();
     (results, schedule)
@@ -194,7 +199,8 @@ fn traced_run(seed: u64, policy: AdversaryPolicy) -> (Vec<(u64, u32)>, DeliveryS
 #[test]
 fn same_seed_same_policy_replays_the_delivery_schedule() {
     // The adversarial determinism contract, per canned policy: seed +
-    // policy + command sequence fully determine the delivery schedule —
+    // policy + a command sequence issued on a settled network fully
+    // determine the delivery schedule —
     // what the CI `determinism` bin pins across whole process runs.
     for (name, policy) in canned() {
         let (reads_a, schedule_a) = traced_run(11, policy.clone());

@@ -32,7 +32,7 @@ fn reader_steps() -> impl Strategy<Value = Vec<ReaderStep>> {
 /// verifies (it is signed for Algorithms 1–2 and the stuck value for
 /// Algorithm 3), a never-written probe does not, and the batched
 /// `verify_many` agrees with the per-value loop. Exercises the generic
-/// `quorum_rounds` engine at the given `(n, f)`.
+/// `quorum_groups` engine at the given `(n, f)`.
 fn boundary_workload<R: SignatureRegister<u8>>(n: usize, f: usize, seed: u64, writes: &[u8]) {
     let system = System::builder(n).resilience(f).scheduling(Scheduling::Chaotic(seed)).build();
     let reg = R::install_default(&system, 200);
@@ -69,7 +69,7 @@ proptest! {
 
     /// `f = 0` boundary: quorums degenerate to unanimity (`n − f = n`) and
     /// a single dissent (`f + 1 = 1`) decides false. The smallest systems
-    /// the model admits (n = 2, 3) drive the generic `quorum_rounds`
+    /// the model admits (n = 2, 3) drive the generic `quorum_groups`
     /// engine through both decision rules.
     #[test]
     fn quorum_engine_f0_boundary(
