@@ -45,7 +45,9 @@
 
 use std::collections::BTreeSet;
 
-use byzreg_runtime::{Env, HelpShard, ProcessId, RegisterFactory, Result, System, Value};
+use byzreg_runtime::{
+    Env, HelpShard, HistoryLog, ProcessId, RegisterFactory, Result, System, Value,
+};
 
 use crate::quorum::{verify_groups, EngineParts};
 
@@ -63,6 +65,17 @@ fn verify_fused_parts<V: Value, R>(
 ) -> Result<Vec<Vec<bool>>> {
     let groups: Vec<_> = groups.iter().map(|&(r, vs)| (parts(r), vs)).collect();
     verify_groups(env, &groups)
+}
+
+/// Turns a trait-path install's history log off: the trait has no
+/// `history()`, so nothing could ever read it, and a recording log would
+/// grow by two events and two ticks of the system's shared clock per op.
+macro_rules! unrecorded {
+    ($install:expr) => {{
+        let mut register = $install;
+        register.log = HistoryLog::off();
+        register
+    }};
 }
 
 /// The three register families of the paper, for labeling generic output.
@@ -164,7 +177,11 @@ pub trait SignatureVerifier<V: Value>: Send {
     ///
     /// Checks decided through a fused run are not recorded in any
     /// instance's operation history: the history log is per-instance
-    /// (diagnostics and spec monitors), while a fused run spans many.
+    /// (diagnostics and spec monitors), while a fused run spans many. Only
+    /// registers built with a family's inherent constructors (`install`,
+    /// `install_with`, `install_in_shard`, …) record at all; an install
+    /// through this trait, the keyed store's path included, records
+    /// nothing (`HistoryLog::off`).
     ///
     /// # Errors
     ///
@@ -216,6 +233,11 @@ pub trait SignatureRegister<V: Value>: Sized + Send + Sync + 'static {
     /// ([`install_with_factory`](SignatureRegister::install_with_factory))
     /// gets a shard of its own.
     ///
+    /// Nothing can read an operation history through this trait, so the
+    /// installed register records none (`HistoryLog::off`): its operations
+    /// append no events and never tick the system's clock. Install with the
+    /// family's inherent constructor to record one.
+    ///
     /// # Panics
     ///
     /// Panics if `n <= 3f`.
@@ -256,7 +278,7 @@ impl<V: Value> SignatureRegister<V> for VerifiableRegister<V> {
         factory: &F,
         shard: &HelpShard,
     ) -> Self {
-        VerifiableRegister::install_in_shard(system, v0, factory, shard)
+        unrecorded!(VerifiableRegister::install_in_shard(system, v0, factory, shard))
     }
 
     fn signer(&self) -> Self::Signer {
@@ -315,7 +337,7 @@ impl<V: Value> SignatureRegister<V> for AuthenticatedRegister<V> {
         factory: &F,
         shard: &HelpShard,
     ) -> Self {
-        AuthenticatedRegister::install_in_shard(system, v0, factory, shard)
+        unrecorded!(AuthenticatedRegister::install_in_shard(system, v0, factory, shard))
     }
 
     fn signer(&self) -> Self::Signer {
@@ -378,7 +400,7 @@ impl<V: Value> SignatureRegister<V> for StickyRegister<V> {
         factory: &F,
         shard: &HelpShard,
     ) -> Self {
-        StickyRegister::install_in_shard(system, factory, shard)
+        unrecorded!(StickyRegister::install_in_shard(system, factory, shard))
     }
 
     fn signer(&self) -> Self::Signer {
@@ -484,6 +506,40 @@ mod tests {
         batch_matches_loop::<VerifiableRegister<u32>>(&system);
         batch_matches_loop::<AuthenticatedRegister<u32>>(&system);
         batch_matches_loop::<StickyRegister<u32>>(&system);
+        system.shutdown();
+    }
+
+    /// Runs one write, sign, read and verify on a trait-path install and returns
+    /// how far they moved the system's history clock.
+    fn clock_ticks_of_ops<R: SignatureRegister<u32>>(system: &System) -> u64 {
+        let clock = system.env().clock();
+        let reg = R::install_default(system, 0);
+        let mut w = reg.signer();
+        let mut r = reg.verifier(ProcessId::new(2));
+        let before = clock.now();
+        w.write_value(3).unwrap();
+        assert!(w.sign_value(&3).unwrap(), "{}", R::FAMILY);
+        assert_eq!(r.read_value().unwrap(), Some(3), "{}", R::FAMILY);
+        assert!(r.verify_value(&3).unwrap(), "{}", R::FAMILY);
+        clock.now() - before
+    }
+
+    #[test]
+    fn trait_installs_record_nothing_and_leave_the_clock_alone() {
+        let system = System::builder(4).build();
+        assert_eq!(clock_ticks_of_ops::<VerifiableRegister<u32>>(&system), 0);
+        assert_eq!(clock_ticks_of_ops::<AuthenticatedRegister<u32>>(&system), 0);
+        assert_eq!(clock_ticks_of_ops::<StickyRegister<u32>>(&system), 0);
+        let reg =
+            <AuthenticatedRegister<u32> as SignatureRegister<u32>>::install_default(&system, 0);
+        reg.signer().write_value(1).unwrap();
+        assert!(reg.history().is_empty());
+        // The inherent constructors still record, stamped by the clock.
+        let reg = AuthenticatedRegister::install(&system, 0u32);
+        let before = system.env().clock().now();
+        reg.writer().write(1).unwrap();
+        assert_eq!(reg.history().len(), 2);
+        assert_eq!(system.env().clock().now() - before, 2);
         system.shutdown();
     }
 

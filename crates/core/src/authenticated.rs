@@ -47,7 +47,9 @@ use byzreg_runtime::{
 };
 use byzreg_spec::registers::{AuthInv, AuthResp};
 
-use crate::quorum::{verify_groups, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply};
+use crate::quorum::{
+    verify_groups, witness_update, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
+};
 
 /// A process's witness set (content of `R_j`, `j ≠ 1`).
 pub type WitnessSet<V> = BTreeSet<V>;
@@ -153,7 +155,9 @@ pub struct AuthenticatedRegister<V: Ord> {
     /// The demand handle of the instance's help shard; reader handles'
     /// quorum runs begin it (see [`crate::quorum::quorum_groups`]).
     demand: HelpDemand,
-    log: HistoryLog<AuthInv<V>, AuthResp<V>>,
+    /// The operation log every handle records into; off for trait-path
+    /// installs (see `api::SignatureRegister::install_in_shard`).
+    pub(crate) log: HistoryLog<AuthInv<V>, AuthResp<V>>,
 }
 
 impl<V: Value> AuthenticatedRegister<V> {
@@ -556,26 +560,12 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
             // value in r1 or with >= f+1 witnesses (counting r1 as one set,
             // cf. "1 <= i <= n" in line 33).
             let mut all_sets: Vec<WitnessSet<V>> = Vec::with_capacity(self.env.n());
-            all_sets.push(r1.clone());
+            all_sets.push(r1);
             for port in &self.shared.witness {
                 all_sets.push(port.read()); // line 32
             }
-            let mut candidates: BTreeSet<&V> = BTreeSet::new();
-            for set in &all_sets {
-                candidates.extend(set.iter());
-            }
-            let f = self.env.f();
-            for v in candidates {
-                let in_r1 = r1.contains(v);
-                let count = all_sets.iter().filter(|s| s.contains(v)).count();
-                if in_r1 || count >= f + 1 {
-                    // line 34: R_j <- R_j ∪ {v}.
-                    witness_w.update(|set| {
-                        set.insert(v.clone());
-                    });
-                }
-            }
-            witness_w.read() // line 35: r_j <- R_j
+            // Lines 33-35, each qualifying value R_j lacks in one RMW.
+            witness_update(witness_w, all_sets, self.j - 1, self.env.f())
         } else {
             // j = 1: the writer replies with the values of R1 itself
             // (footnote 9; Lemma 103 Case 2 relies on this).
@@ -714,6 +704,68 @@ mod tests {
             assert!(r.verify(&3).unwrap());
         }
         system.shutdown();
+    }
+
+    /// One help tick of `p3` on a fixed `n = 4` fixture: `R1` holds
+    /// `⟨1, 5⟩`, reader `p_k`'s witness set is `sets[k - 2]`, and reader
+    /// `p2` has one pending round. Returns the gate steps of the tick, then
+    /// `R_3` and `p3`'s reply to `p2`.
+    fn tick_p3(sets: [&[u32]; 3]) -> (u64, WitnessSet<u32>, Reply<u32>) {
+        let system = System::builder(4).build();
+        let env = system.env();
+        let pid = |k: usize| ProcessId::new(k);
+        let r1 = WriterRecord::Tuples([(1u64, 5u32)].into_iter().collect());
+        let (_, r1) = byzreg_runtime::swmr(env.gate(), pid(1), "R1", r1);
+        let (witness_w, witness): (Vec<_>, Vec<_>) = (2..=4)
+            .map(|k| {
+                let set = sets[k - 2].iter().copied().collect();
+                byzreg_runtime::swmr(env.gate(), pid(k), format!("R[{k}]"), set)
+            })
+            .unzip();
+        let fabric =
+            QuorumFabric::install(env, &LocalFactory, &Roles::identity(4), BTreeSet::new());
+        let shared = SharedPorts {
+            r1,
+            witness,
+            replies: fabric.reply_matrix(),
+            askers: fabric.asker_ports(),
+        };
+        let mut task = HelpTask2 {
+            env: env.clone(),
+            j: 3,
+            shared: shared.clone(),
+            witness_w: Some(witness_w[1].clone()),
+            replies_w: fabric.reply_row(3),
+            tracker: AskerTracker::new(3),
+        };
+        fabric.asker_port(2).unwrap().write(1);
+        let before = env.gate().steps();
+        env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
+        let steps = env.gate().steps() - before;
+        (steps, shared.witness[1].read(), shared.replies[2][0].read())
+    }
+
+    #[test]
+    fn help_tick_skips_witness_unions_it_already_has() {
+        // Candidates 0 (in R2, R3, R4) and 5 (in R1) qualify and are both
+        // in R3 already: 3 C_k reads, 1 R1 read, 3 witness reads, 1 reply
+        // write. No R_3 RMW and no line-35 re-read.
+        let (steps, r3, reply) = tick_p3([&[0, 5], &[0, 5], &[0]]);
+        assert_eq!(steps, 8);
+        assert_eq!(r3, [0, 5].into_iter().collect());
+        assert_eq!(reply, ([0, 5].into_iter().collect(), 1));
+    }
+
+    #[test]
+    fn help_tick_merges_new_witnesses_into_one_rmw() {
+        // One new value, then two: either way exactly one RMW (9 steps),
+        // whose result is the reply.
+        for own in [&[0u32][..], &[]] {
+            let (steps, r3, reply) = tick_p3([&[0, 5], own, &[0]]);
+            assert_eq!(steps, 9, "R3 = {own:?}");
+            assert_eq!(r3, [0, 5].into_iter().collect());
+            assert_eq!(reply, ([0, 5].into_iter().collect(), 1));
+        }
     }
 
     #[test]

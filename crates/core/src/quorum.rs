@@ -172,6 +172,7 @@ pub fn quorum_groups<W: Value, T>(
         let mut remaining = need.iter().filter(|x| **x).count();
         while remaining > 0 {
             env.check_running()?;
+            let before = remaining;
             for (g, &(parts, _)) in groups.iter().enumerate() {
                 if !need[g] {
                     continue;
@@ -211,6 +212,11 @@ pub fn quorum_groups<W: Value, T>(
                 }
                 need[g] = false;
                 remaining -= 1;
+            }
+            if remaining == before {
+                // Nothing fresh in this pass: the replies come from help
+                // engines that may be waiting for this very core.
+                std::thread::yield_now();
             }
         }
     }
@@ -297,6 +303,47 @@ impl AskerTracker {
             self.acknowledge(k, ck[k]);
         }
     }
+}
+
+/// The witness update of helper `p_j` (Alg. 1 lines 31–33, Alg. 2 lines
+/// 33–35). `sets` is what the tick just read: `sets[0]` is the writer's
+/// set (Alg. 1's `R_1`, the values of Alg. 2's `R1`) and `sets[own]` is
+/// `R_j` itself. A value qualifies if it is in `sets[0]` or in at least
+/// `f + 1` of the sets. Every qualifying value `R_j` lacks goes into `R_j`
+/// in **one** owner RMW, and no step is taken when there is none. The
+/// returned `r_j` is that RMW's result, or the read `sets[own]` when
+/// nothing was added: no second read.
+///
+/// The protocol is unchanged. Only the owner writes `R_j`, so `sets[own]`
+/// equals what a read of `R_j` returns; a union with a value already
+/// present changes nothing; and merging the remaining unions into one RMW
+/// is indistinguishable from a schedule in which no reader read `R_j`
+/// between them. (Alg. 1's writer also inserts into `R_1` from `Sign`; the
+/// RMW still unions atomically, and a `Sign` that finished before an
+/// asker's round began is in any read of `R_1` this tick makes.) Either
+/// `r_j` is `R_j`'s content at a step after the tick sampled `C_k`, which
+/// is all a fresh reply needs.
+pub(crate) fn witness_update<V: Value>(
+    witness_w: &WritePort<BTreeSet<V>>,
+    mut sets: Vec<BTreeSet<V>>,
+    own: usize,
+    f: usize,
+) -> BTreeSet<V> {
+    let r_j = &sets[own];
+    let candidates: BTreeSet<&V> = sets.iter().flatten().filter(|v| !r_j.contains(*v)).collect();
+    let new: Vec<V> = candidates
+        .into_iter()
+        .filter(|v| sets[0].contains(*v) || sets.iter().filter(|s| s.contains(*v)).count() > f)
+        .cloned()
+        .collect();
+    let r_j = sets.swap_remove(own);
+    if new.is_empty() {
+        return r_j;
+    }
+    witness_w.update(|set| {
+        set.extend(new);
+        set.clone()
+    })
 }
 
 /// The reply-and-asker register fabric every register family installs: the

@@ -116,7 +116,9 @@ pub struct StickyRegister<V> {
     /// it: the reader's quorum `Read` *and* the writer's witness wait
     /// (lines 3–5) depend on helpers running.
     demand: HelpDemand,
-    log: HistoryLog<StickyInv<V>, StickyResp<V>>,
+    /// The operation log every handle records into; off for trait-path
+    /// installs (see `api::SignatureRegister::install_in_shard`).
+    pub(crate) log: HistoryLog<StickyInv<V>, StickyResp<V>>,
 }
 
 impl<V: Value> StickyRegister<V> {

@@ -43,7 +43,9 @@ use byzreg_runtime::{
 };
 use byzreg_spec::registers::{VerInv, VerResp};
 
-use crate::quorum::{verify_groups, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply};
+use crate::quorum::{
+    verify_groups, witness_update, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
+};
 
 /// A process's witness set (the content of `R_i`).
 pub type WitnessSet<V> = BTreeSet<V>;
@@ -124,7 +126,9 @@ pub struct VerifiableRegister<V> {
     /// The demand handle of the instance's help shard; reader handles'
     /// quorum runs begin it (see [`crate::quorum::quorum_groups`]).
     demand: HelpDemand,
-    log: HistoryLog<VerInv<V>, VerResp<V>>,
+    /// The operation log every handle records into; off for trait-path
+    /// installs (see `api::SignatureRegister::install_in_shard`).
+    pub(crate) log: HistoryLog<VerInv<V>, VerResp<V>>,
 }
 
 impl<V: Value> VerifiableRegister<V> {
@@ -201,6 +205,7 @@ impl<V: Value> VerifiableRegister<V> {
         for j in 1..=n {
             let task = HelpTask1 {
                 env: env.clone(),
+                j,
                 shared: shared.clone(),
                 witness_w: witness_w[j - 1].clone(),
                 replies_w: fabric.reply_row(j),
@@ -470,6 +475,8 @@ impl<V: Value> std::fmt::Debug for VerifiableReader<V> {
 
 struct HelpTask1<V: Value> {
     env: Env,
+    /// 1-based process index of the helper.
+    j: usize,
     shared: SharedPorts<V>,
     witness_w: WritePort<WitnessSet<V>>,
     replies_w: Vec<WritePort<Reply<V>>>,
@@ -485,24 +492,8 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
         }
         // Line 30: read R_i of every process.
         let r_all: Vec<WitnessSet<V>> = self.shared.witness.iter().map(ReadPort::read).collect();
-        // Line 31: candidate values = r1 ∪ values appearing anywhere.
-        let mut candidates: BTreeSet<&V> = BTreeSet::new();
-        for set in &r_all {
-            candidates.extend(set.iter());
-        }
-        let f = self.env.f();
-        for v in candidates {
-            let in_r1 = r_all[0].contains(v);
-            let witnesses = r_all.iter().filter(|set| set.contains(v)).count();
-            if in_r1 || witnesses >= f + 1 {
-                // Line 32: R_j <- R_j ∪ {v} (owner RMW; one step).
-                self.witness_w.update(|set| {
-                    set.insert(v.clone());
-                });
-            }
-        }
-        // Line 33: r_j <- R_j.
-        let r_j = self.witness_w.read();
+        // Lines 31-33, each qualifying value R_j lacks in one RMW.
+        let r_j = witness_update(&self.witness_w, r_all, self.j - 1, self.env.f());
         // Lines 34-36: help each asker.
         self.tracker.serve(&self.replies_w, &ck, &askers, &r_j);
     }
@@ -512,6 +503,66 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
 mod tests {
     use super::*;
     use byzreg_runtime::{Scheduling, System};
+
+    /// One help tick of `p3` on a fixed `n = 4` fixture: `p_i`'s witness
+    /// set is `sets[i - 1]` and reader `p2` has one pending round. Returns
+    /// the gate steps of the tick, then `R_3` and `p3`'s reply to `p2`.
+    fn tick_p3(sets: [&[u32]; 4]) -> (u64, WitnessSet<u32>, Reply<u32>) {
+        let system = System::builder(4).build();
+        let env = system.env();
+        let pid = |i: usize| ProcessId::new(i);
+        let (_, r_star) = byzreg_runtime::swmr(env.gate(), pid(1), "R*", 0u32);
+        let (witness_w, witness): (Vec<_>, Vec<_>) = (1..=4)
+            .map(|i| {
+                let set = sets[i - 1].iter().copied().collect();
+                byzreg_runtime::swmr(env.gate(), pid(i), format!("R[{i}]"), set)
+            })
+            .unzip();
+        let fabric =
+            QuorumFabric::install(env, &LocalFactory, &Roles::identity(4), BTreeSet::new());
+        let shared = SharedPorts {
+            r_star,
+            witness,
+            replies: fabric.reply_matrix(),
+            askers: fabric.asker_ports(),
+        };
+        let mut task = HelpTask1 {
+            env: env.clone(),
+            j: 3,
+            shared: shared.clone(),
+            witness_w: witness_w[2].clone(),
+            replies_w: fabric.reply_row(3),
+            tracker: AskerTracker::new(3),
+        };
+        fabric.asker_port(2).unwrap().write(1);
+        let before = env.gate().steps();
+        env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
+        let steps = env.gate().steps() - before;
+        (steps, shared.witness[2].read(), shared.replies[2][0].read())
+    }
+
+    #[test]
+    fn help_tick_skips_witness_unions_it_already_has() {
+        // Candidates 5 (in R1) and 7 (in R2, R3, R4) qualify and are both
+        // in R3 already: 3 C_k reads, 4 witness reads, 1 reply write. No
+        // R_3 RMW and no line-33 re-read.
+        let (steps, r3, reply) = tick_p3([&[5], &[5, 7], &[5, 7], &[7]]);
+        assert_eq!(steps, 8);
+        assert_eq!(r3, [5, 7].into_iter().collect());
+        assert_eq!(reply, ([5, 7].into_iter().collect(), 1));
+    }
+
+    #[test]
+    fn help_tick_merges_new_witnesses_into_one_rmw() {
+        // One new value, then two: either way exactly one RMW (9 steps),
+        // whose result is the reply.
+        for own in [&[7u32][..], &[]] {
+            let (steps, r3, reply) = tick_p3([&[5], &[5, 7], own, &[7]]);
+            assert_eq!(steps, 9, "R3 = {own:?}");
+            assert_eq!(r3, [5, 7].into_iter().collect());
+            assert_eq!(reply, ([5, 7].into_iter().collect(), 1));
+        }
+    }
 
     fn sys(n: usize, seed: u64) -> System {
         System::builder(n).scheduling(Scheduling::Chaotic(seed)).build()

@@ -232,6 +232,9 @@ impl Reactor {
     /// Stops the workers and drops every task. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Notify under the ready lock: a worker checks the flag and parks
+        // while holding it, so the notify cannot fall between the two.
+        drop(self.shared.ready.lock());
         self.shared.cv.notify_all();
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();

@@ -1,11 +1,15 @@
 //! History recording: a global total order of invocation/response events.
 //!
 //! The correctness notion of the paper — Byzantine linearizability
-//! (Definitions 6–9) — is a property of *histories*. Every operation handle
-//! in this workspace records its invocation and response into a
-//! [`HistoryLog`], stamped by a [`Clock`] shared across all objects of a
-//! system, so that the real-time precedence relation between operations
-//! (Definition 1) is captured exactly.
+//! (Definitions 6–9) — is a property of *histories*. The operation handles
+//! of an object built with one of its inherent constructors (e.g.
+//! `VerifiableRegister::install`) record their invocations and responses
+//! into a [`HistoryLog`], stamped by a [`Clock`] shared across all objects
+//! of a system, so that the real-time precedence relation between
+//! operations (Definition 1) is captured exactly. A register installed
+//! through the generic `SignatureRegister` trait, as the keyed store
+//! installs its keys, cannot hand its history to anyone and gets
+//! [`HistoryLog::off`]: it records nothing and never ticks the clock.
 //!
 //! Only the steps of *correct* processes are recorded through operation
 //! handles, so a recorded history is `H|correct` in the paper's notation
@@ -108,11 +112,13 @@ impl<I, R> CompleteOp<I, R> {
 }
 
 struct LogInner<I, R> {
+    clock: Clock,
     events: Vec<Event<I, R>>,
     next_op: u64,
 }
 
-/// An append-only log of operation events for one implemented object.
+/// An append-only log of operation events for one implemented object, or
+/// a log that records nothing ([`HistoryLog::off`]).
 ///
 /// # Examples
 ///
@@ -128,13 +134,13 @@ struct LogInner<I, R> {
 /// assert_eq!(ops[0].response, true);
 /// ```
 pub struct HistoryLog<I, R> {
-    clock: Clock,
-    inner: Arc<Mutex<LogInner<I, R>>>,
+    /// `None` for a log that records nothing.
+    rec: Option<Arc<Mutex<LogInner<I, R>>>>,
 }
 
 impl<I, R> Clone for HistoryLog<I, R> {
     fn clone(&self) -> Self {
-        HistoryLog { clock: self.clock.clone(), inner: Arc::clone(&self.inner) }
+        HistoryLog { rec: self.rec.clone() }
     }
 }
 
@@ -143,31 +149,41 @@ impl<I: Clone, R: Clone> HistoryLog<I, R> {
     #[must_use]
     pub fn new(clock: Clock) -> Self {
         HistoryLog {
-            clock,
-            inner: Arc::new(Mutex::new(LogInner { events: Vec::new(), next_op: 1 })),
+            rec: Some(Arc::new(Mutex::new(LogInner { clock, events: Vec::new(), next_op: 1 }))),
         }
+    }
+
+    /// Creates a log that records nothing and ticks no clock: for objects
+    /// whose history nobody can read.
+    #[must_use]
+    pub fn off() -> Self {
+        HistoryLog { rec: None }
     }
 
     /// Records an invocation and returns its token.
     pub fn invoke(&self, pid: ProcessId, invocation: I) -> OpToken {
-        let mut inner = self.inner.lock();
+        let Some(inner) = &self.rec else { return OpToken::default() };
+        let mut inner = inner.lock();
         let op = OpToken(inner.next_op);
         inner.next_op += 1;
-        let time = self.clock.tick();
+        let time = inner.clock.tick();
         inner.events.push(Event { time, pid, op, kind: EventKind::Invoke(invocation) });
         op
     }
 
     /// Records the response of a previously invoked operation.
     pub fn respond(&self, op: OpToken, pid: ProcessId, response: R) {
-        let time = self.clock.tick();
-        self.inner.lock().events.push(Event { time, pid, op, kind: EventKind::Respond(response) });
+        let Some(inner) = &self.rec else { return };
+        let mut inner = inner.lock();
+        let time = inner.clock.tick();
+        inner.events.push(Event { time, pid, op, kind: EventKind::Respond(response) });
     }
 
     /// All recorded events in timestamp order.
     #[must_use]
     pub fn events(&self) -> Vec<Event<I, R>> {
-        let mut ev = self.inner.lock().events.clone();
+        let Some(inner) = &self.rec else { return Vec::new() };
+        let mut ev = inner.lock().events.clone();
         ev.sort_by_key(|e| e.time);
         ev
     }
@@ -177,7 +193,8 @@ impl<I: Clone, R: Clone> HistoryLog<I, R> {
     /// are dropped, which Definition 2 permits for a completion of a history.
     #[must_use]
     pub fn complete_ops(&self) -> Vec<CompleteOp<I, R>> {
-        let inner = self.inner.lock();
+        let Some(inner) = &self.rec else { return Vec::new() };
+        let inner = inner.lock();
         let mut pending: std::collections::HashMap<OpToken, (&Event<I, R>, &I)> =
             std::collections::HashMap::new();
         let mut out = Vec::new();
@@ -207,7 +224,7 @@ impl<I: Clone, R: Clone> HistoryLog<I, R> {
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.rec.as_ref().map_or(0, |inner| inner.lock().events.len())
     }
 
     /// `true` if nothing has been recorded.
@@ -269,6 +286,18 @@ mod tests {
         let ops = log.complete_ops();
         assert!(ops[0].precedes(&ops[1]));
         assert!(!ops[1].precedes(&ops[0]));
+    }
+
+    #[test]
+    fn an_off_log_records_nothing_and_never_ticks() {
+        let clock = Clock::new();
+        let log: HistoryLog<&str, ()> = HistoryLog::off();
+        let before = clock.now();
+        let op = log.invoke(ProcessId::new(2), "unrecorded");
+        log.respond(op, ProcessId::new(2), ());
+        assert_eq!(log.len(), 0);
+        assert!(log.is_empty() && log.events().is_empty() && log.complete_ops().is_empty());
+        assert_eq!(clock.now(), before, "an off log leaves the clock alone");
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! are partitioned into help shards, each served by one engine thread that
 //! ticks only the tasks whose [`HelpDemand`] has a pending quorum round
 //! and **parks** on a wake counter otherwise (edge-triggered, like the MP
-//! reactor's dedup flags). A keyed store registers each key's help tasks
-//! under the key's shard, so background helping cost scales with the
-//! *active* keys of the touched shards, not with every instantiated key; a
-//! standalone object gets a fresh shard of its own. The paper's
+//! reactor's dedup flags). An instance's tasks live with its demand, and a
+//! demand going from 0 to pending puts the instance on its shard's ready
+//! list, so an engine sweep visits only the instances with pending demand:
+//! it costs O(pending), not O(installed). A keyed store registers each
+//! key's help tasks under the key's shard, so background helping cost
+//! scales with the *active* keys of the touched shards, not with every
+//! instantiated key; a standalone object gets a fresh shard of its own. The paper's
 //! continuous-`Help()` requirement (§5.2: each process executes `Help()`
 //! "even when it is not currently performing any operation on the
 //! implemented register") is preserved per shard: a `Help()` round with no
@@ -29,8 +32,8 @@
 //! process legitimately owns.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -57,18 +60,25 @@ impl<F: FnMut() + Send + 'static> HelpTask for F {
     }
 }
 
-/// Wake state shared by one help shard's engine and every demand handle
-/// attached to the shard: a monotone epoch plus the condvar the engine
-/// parks on while the shard is quiet.
-struct ShardWake {
+/// The state one help shard's engine shares with every demand handle of
+/// the shard: the **ready list** of instances whose demand went from 0 to
+/// pending, plus a monotone wake epoch and the condvar the engine parks on
+/// while the shard is quiet.
+struct ShardCore {
+    ready: Mutex<Vec<Arc<DemandState>>>,
     epoch: AtomicU64,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-impl ShardWake {
+impl ShardCore {
     fn new() -> Self {
-        ShardWake { epoch: AtomicU64::new(0), lock: Mutex::new(()), cv: Condvar::new() }
+        ShardCore {
+            ready: Mutex::new(Vec::new()),
+            epoch: AtomicU64::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
     }
 
     /// Advances the epoch and wakes the shard's engine. The lock is taken
@@ -81,17 +91,51 @@ impl ShardWake {
     }
 }
 
+/// One object instance hosted on a help shard: its demand count, its help
+/// tasks, and whether it is on the shard's ready or active list.
 struct DemandState {
     pending: AtomicUsize,
-    wake: Arc<ShardWake>,
+    /// `true` while the instance is on the shard's ready list or the
+    /// engine's active list. Whoever flips it from `false` to `true` lists
+    /// the instance, so it is listed at most once.
+    queued: AtomicBool,
+    /// The instance's tasks, each ticked as its process.
+    tasks: Mutex<Vec<(ProcessId, Box<dyn HelpTask>)>>,
+    /// The shard. Weak: a shard with no engine has nothing to serve, and
+    /// the ready list must not keep its own core alive.
+    shard: Weak<ShardCore>,
+}
+
+impl DemandState {
+    /// Puts the instance on its shard's ready list unless it is listed
+    /// already, and wakes the engine.
+    fn enqueue(self: &Arc<Self>) {
+        if self.queued.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(core) = self.shard.upgrade() {
+            core.ready.lock().push(Arc::clone(self));
+            core.bump();
+        }
+    }
+
+    /// The engine read this instance's count as 0: clears `queued` so the
+    /// next `begin` enqueues it again. Returns `true` if the engine must
+    /// keep the instance after all, because a `begin` landed after that
+    /// read but found `queued` still set (so it did not enqueue). If the
+    /// flag was taken back already, that `begin` enqueued it afresh.
+    fn unlist(&self) -> bool {
+        self.queued.store(false, Ordering::SeqCst);
+        self.pending.load(Ordering::SeqCst) > 0 && !self.queued.swap(true, Ordering::SeqCst)
+    }
 }
 
 /// The demand handle of one object instance hosted on a help shard.
 ///
 /// Operations whose termination depends on background helping (the §5.1
 /// quorum rounds, the sticky write's witness wait) call
-/// [`HelpDemand::begin`] for their duration; the shard's engine ticks a
-/// task only while its instance's demand is pending, and the whole shard
+/// [`HelpDemand::begin`] for their duration; the shard's engine ticks an
+/// instance's tasks only while its demand is pending, and the whole shard
 /// parks once nothing is pending. This is sound because a `Help()` round
 /// with no pending asker takes no protocol-visible action (the early
 /// returns of Alg. 1 line 29 / Alg. 2 line 28 / Alg. 3 line 33): parking
@@ -103,11 +147,13 @@ pub struct HelpDemand {
 
 impl HelpDemand {
     /// Marks a helper-dependent operation as in flight until the returned
-    /// guard drops, and wakes the shard's engine.
+    /// guard drops. The 0→pending transition puts the instance on its
+    /// shard's ready list and wakes the shard's engine.
     #[must_use]
     pub fn begin(&self) -> HelpDemandGuard {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        self.state.wake.bump();
+        if self.state.pending.fetch_add(1, Ordering::SeqCst) == 0 {
+            self.state.enqueue();
+        }
         HelpDemandGuard { state: Arc::clone(&self.state) }
     }
 
@@ -125,15 +171,15 @@ impl std::fmt::Debug for HelpDemand {
 }
 
 /// RAII span of one helper-dependent operation (see [`HelpDemand::begin`]).
+/// Dropping it only decrements: the engine drops an instance from its
+/// active list on the first sweep that reads its count as 0.
 pub struct HelpDemandGuard {
     state: Arc<DemandState>,
 }
 
 impl Drop for HelpDemandGuard {
     fn drop(&mut self) {
-        self.state.pending.fetch_sub(1, Ordering::AcqRel);
-        // Bump so an engine mid-sweep re-evaluates and can park promptly.
-        self.state.wake.bump();
+        self.state.pending.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -147,7 +193,7 @@ impl Drop for HelpDemandGuard {
 #[derive(Clone)]
 pub struct HelpShard {
     id: usize,
-    wake: Arc<ShardWake>,
+    core: Arc<ShardCore>,
 }
 
 impl HelpShard {
@@ -165,7 +211,9 @@ impl HelpShard {
         HelpDemand {
             state: Arc::new(DemandState {
                 pending: AtomicUsize::new(0),
-                wake: Arc::clone(&self.wake),
+                queued: AtomicBool::new(false),
+                tasks: Mutex::new(Vec::new()),
+                shard: Arc::downgrade(&self.core),
             }),
         }
     }
@@ -415,19 +463,8 @@ impl SystemBuilder {
     }
 }
 
-/// One task hosted on a shard engine: ticked as `pid`, but only while its
-/// instance's demand is pending.
-struct ShardSlot {
-    pid: ProcessId,
-    demand: HelpDemand,
-    task: Box<dyn HelpTask>,
-}
-
-type ShardTaskList = Arc<Mutex<Vec<ShardSlot>>>;
-
 struct ShardEngine {
-    wake: Arc<ShardWake>,
-    tasks: ShardTaskList,
+    core: Arc<ShardCore>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -463,16 +500,17 @@ impl System {
     pub fn new_help_shard(&self) -> HelpShard {
         HelpShard {
             id: self.next_shard.fetch_add(1, Ordering::Relaxed),
-            wake: Arc::new(ShardWake::new()),
+            core: Arc::new(ShardCore::new()),
         }
     }
 
     /// Attaches a demand-gated background help task of process `pid` to
     /// `shard`.
     ///
-    /// The shard's engine ticks the task only while `demand` is pending
-    /// (see [`HelpDemand`]); with nothing pending anywhere in the shard,
-    /// the engine parks. Tasks attached to a declared-Byzantine process are
+    /// The task lives with `demand` (which must come from `shard`): the
+    /// shard's engine ticks it only while `demand` is pending (see
+    /// [`HelpDemand`]); with nothing pending anywhere in the shard, the
+    /// engine parks. Tasks attached to a declared-Byzantine process are
     /// silently dropped: faulty processes do not execute the protocol (an
     /// adversary may be installed instead with [`System::spawn_byzantine`]).
     pub fn add_sharded_help_task(
@@ -482,31 +520,26 @@ impl System {
         demand: &HelpDemand,
         task: Box<dyn HelpTask>,
     ) {
+        debug_assert!(
+            std::ptr::eq(demand.state.shard.as_ptr(), Arc::as_ptr(&shard.core)),
+            "the demand must come from this shard"
+        );
         if self.env.is_faulty(pid) {
             return;
         }
-        let slot = ShardSlot { pid, demand: demand.clone(), task };
-        let mut engines = self.shard_engines.lock();
-        match engines.get_mut(&shard.id) {
-            Some(engine) => {
-                engine.tasks.lock().push(slot);
-                // A parked engine must notice the new task (its demand may
-                // already be pending).
-                engine.wake.bump();
-            }
-            None => {
-                let tasks: ShardTaskList = Arc::new(Mutex::new(vec![slot]));
-                let env = self.env.clone();
-                let wake = Arc::clone(&shard.wake);
-                let loop_wake = Arc::clone(&wake);
-                let loop_tasks = Arc::clone(&tasks);
-                let handle = std::thread::Builder::new()
-                    .name(format!("help-s{}", shard.id))
-                    .spawn(move || shard_help_loop(&env, &loop_wake, &loop_tasks))
-                    .expect("spawn shard help engine");
-                engines.insert(shard.id, ShardEngine { wake, tasks, handle: Some(handle) });
-            }
-        }
+        // A demand already pending is on the ready or active list, so the
+        // engine picks the task up on its next sweep of the instance.
+        demand.state.tasks.lock().push((pid, task));
+        self.shard_engines.lock().entry(shard.id).or_insert_with(|| {
+            let env = self.env.clone();
+            let core = Arc::clone(&shard.core);
+            let loop_core = Arc::clone(&core);
+            let handle = std::thread::Builder::new()
+                .name(format!("help-s{}", shard.id))
+                .spawn(move || shard_help_loop(&env, &loop_core))
+                .expect("spawn shard help engine");
+            ShardEngine { core, handle: Some(handle) }
+        });
     }
 
     /// Number of live help-engine threads, one per shard with a task. A
@@ -566,7 +599,7 @@ impl System {
         for engine in shard_engines.values_mut() {
             // Parked engines wait on the shard condvar, not the gate: bump
             // so they re-check `is_shutdown` immediately.
-            engine.wake.bump();
+            engine.core.bump();
             if let Some(h) = engine.handle.take() {
                 let _ = h.join();
             }
@@ -593,54 +626,57 @@ impl std::fmt::Debug for System {
 
 /// The demand-driven engine of one help shard.
 ///
-/// Each sweep ticks every task whose demand is pending, entering the step
-/// gate as the task's process for the tick (so lockstep scheduling and the
-/// paper's process identities are preserved even though many processes'
-/// tasks share the thread). A sweep that ticked nothing parks on the
-/// shard's wake counter until the epoch moves — begun/finished demands and
-/// newly attached tasks all bump it, so the engine never sleeps through
-/// work and never spins while quiet.
-fn shard_help_loop(env: &Env, wake: &Arc<ShardWake>, tasks: &ShardTaskList) {
+/// The engine keeps an *active* list of instances with pending demand,
+/// refilled from the shard's ready list, so a sweep costs O(pending
+/// instances), not O(installed tasks). Each sweep ticks every task of
+/// every active instance, entering the step gate as the task's process for
+/// the tick (so lockstep scheduling and the paper's process identities are
+/// preserved even though many processes' tasks share the thread). An
+/// instance whose count reads 0 leaves the list ([`DemandState::unlist`]):
+/// a `begin` racing with the drop either re-enqueues the instance itself
+/// or is seen there and keeps it. With
+/// nothing active and nothing ready the engine parks until the epoch moves
+/// (every enqueue bumps it), so it never sleeps through work and never
+/// spins while quiet.
+fn shard_help_loop(env: &Env, core: &ShardCore) {
+    let mut active: Vec<Arc<DemandState>> = Vec::new();
     while !env.is_shutdown() {
-        let seen = wake.epoch.load(Ordering::Acquire);
-        let mut ticked = false;
-        let count = tasks.lock().len();
-        for i in 0..count {
-            if env.is_shutdown() {
-                return;
+        let seen = core.epoch.load(Ordering::Acquire);
+        active.append(&mut core.ready.lock());
+        active.retain(|state| state.pending.load(Ordering::SeqCst) > 0 || state.unlist());
+        if active.is_empty() {
+            // Quiet: no participation is held here, so lockstep systems
+            // keep dispatching among the remaining participants while we
+            // park.
+            let mut guard = core.lock.lock();
+            while core.epoch.load(Ordering::Acquire) == seen && !env.is_shutdown() {
+                // The timeout is belt-and-braces against a missed shutdown
+                // bump; every enqueue bumps the epoch, so real work never
+                // waits on it.
+                core.cv.wait_for(&mut guard, Duration::from_millis(25));
             }
-            // Take the task out for the tick so concurrent attaches are not
-            // blocked (ticks perform gated steps that can block).
-            let taken = {
-                let mut guard = tasks.lock();
-                let slot = &mut guard[i];
-                slot.demand
-                    .is_pending()
-                    .then(|| (slot.pid, std::mem::replace(&mut slot.task, Box::new(|| {}))))
-            };
-            let Some((pid, mut task)) = taken else { continue };
-            env.run_as(pid, || {
-                task.tick();
-                // Park at the gate once per tick: idle shard engines are
-                // deregistered entirely, busy ones yield fairly.
-                gate::idle_step(&env.gate());
-            });
-            tasks.lock()[i].task = task;
-            ticked = true;
-        }
-        if ticked {
-            std::thread::yield_now();
             continue;
         }
-        // Quiet: no participation is held here, so lockstep systems keep
-        // dispatching among the remaining participants while we park.
-        let mut guard = wake.lock.lock();
-        while wake.epoch.load(Ordering::Acquire) == seen && !env.is_shutdown() {
-            // The timeout is belt-and-braces against a missed shutdown
-            // bump; every demand transition bumps the epoch, so real work
-            // never waits on it.
-            wake.cv.wait_for(&mut guard, Duration::from_millis(25));
+        for state in &active {
+            // Take the tasks out for the ticks so a concurrent attach is
+            // not blocked (ticks perform gated steps that can block).
+            let mut tasks = std::mem::take(&mut *state.tasks.lock());
+            for (pid, task) in &mut tasks {
+                if env.is_shutdown() {
+                    return;
+                }
+                env.run_as(*pid, || {
+                    task.tick();
+                    // Park at the gate once per tick: idle shard engines
+                    // are deregistered entirely, busy ones yield fairly.
+                    gate::idle_step(&env.gate());
+                });
+            }
+            let mut slot = state.tasks.lock();
+            tasks.append(&mut slot);
+            *slot = tasks;
         }
+        std::thread::yield_now();
     }
 }
 
@@ -905,6 +941,112 @@ mod tests {
             }
         });
         assert_eq!(seen.load(Ordering::SeqCst), 9);
+        s.shutdown();
+    }
+
+    /// A task counting its ticks into `count`.
+    fn counter(count: &Arc<AtomicUsize>) -> Box<dyn HelpTask> {
+        let c = Arc::clone(count);
+        Box::new(move || {
+            c.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    /// Waits until `count` exceeds `above`.
+    fn await_ticks(count: &AtomicUsize, above: usize, what: &str) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while count.load(Ordering::SeqCst) <= above {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn demand_begun_before_its_tasks_are_attached_is_served() {
+        // Once on a shard whose engine already runs, once on a shard whose
+        // engine the attach spawns.
+        let s = System::builder(4).build();
+        let running = s.new_help_shard();
+        let other = running.new_demand();
+        s.add_sharded_help_task(&running, ProcessId::new(2), &other, Box::new(|| {}));
+        for shard in [running, s.new_help_shard()] {
+            let demand = shard.new_demand();
+            let _op = demand.begin();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let count = Arc::new(AtomicUsize::new(0));
+            s.add_sharded_help_task(&shard, ProcessId::new(3), &demand, counter(&count));
+            await_ticks(&count, 0, "a task attached under pending demand must tick");
+        }
+        s.shutdown();
+    }
+
+    #[test]
+    fn demand_re_begun_while_being_dropped_is_served() {
+        // End the demand and begin it again at once, many times: whichever
+        // side of the engine's drop the new `begin` lands on, the instance
+        // must be ticked again.
+        let s = System::builder(4).build();
+        let shard = s.new_help_shard();
+        let demand = shard.new_demand();
+        let count = Arc::new(AtomicUsize::new(0));
+        s.add_sharded_help_task(&shard, ProcessId::new(2), &demand, counter(&count));
+        let mut op = demand.begin();
+        for _ in 0..1000 {
+            let seen = count.load(Ordering::SeqCst);
+            await_ticks(&count, seen, "a re-begun demand must be served");
+            drop(op);
+            op = demand.begin();
+        }
+        drop(op);
+        s.shutdown();
+    }
+
+    #[test]
+    fn unlisting_keeps_an_instance_re_begun_after_its_zero_read() {
+        // The engine's side of the race, step by step, on a shard with no
+        // engine: nothing but this test touches the lists.
+        let s = System::builder(4).build();
+        let shard = s.new_help_shard();
+        let demand = shard.new_demand();
+        let ready = || shard.core.ready.lock().len();
+        drop(demand.begin());
+        assert_eq!(ready(), 1, "0 -> 1 enqueues");
+        // The engine reads the count as 0; then a `begin` lands while
+        // `queued` is still set, so it does not enqueue.
+        let op = demand.begin();
+        assert_eq!(ready(), 1);
+        assert!(demand.state.unlist(), "the engine must keep a re-begun instance");
+        assert!(demand.state.queued.load(Ordering::SeqCst));
+        // With the count still 0 at the re-read the instance is dropped,
+        // and the next `begin` enqueues it afresh.
+        drop(op);
+        assert!(!demand.state.unlist());
+        let _op = demand.begin();
+        assert_eq!(ready(), 2);
+        s.shutdown();
+    }
+
+    #[test]
+    fn idle_instances_are_never_visited() {
+        // 1000 installed instances with no demand and 1 busy one on the
+        // same shard: the idle tasks tick 0 times.
+        let s = System::builder(4).build();
+        let shard = s.new_help_shard();
+        let idle = Arc::new(AtomicUsize::new(0));
+        let idle_demands: Vec<HelpDemand> = (0..1000)
+            .map(|_| {
+                let demand = shard.new_demand();
+                s.add_sharded_help_task(&shard, ProcessId::new(2), &demand, counter(&idle));
+                demand
+            })
+            .collect();
+        let busy_demand = shard.new_demand();
+        let busy = Arc::new(AtomicUsize::new(0));
+        s.add_sharded_help_task(&shard, ProcessId::new(3), &busy_demand, counter(&busy));
+        let _op = busy_demand.begin();
+        await_ticks(&busy, 1000, "the busy instance must make progress");
+        assert_eq!(idle.load(Ordering::SeqCst), 0, "idle instances must not tick");
+        assert!(idle_demands.iter().all(|d| !d.is_pending()));
         s.shutdown();
     }
 
