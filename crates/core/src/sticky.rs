@@ -391,6 +391,10 @@ impl<V: Value> StickyWriter<V> {
                 if count >= need {
                     return Ok(()); // line 6
                 }
+                // Too few witnesses in this pass: they come from help
+                // engines that may be waiting for this very core (the rule
+                // of `quorum_groups`).
+                std::thread::yield_now();
             }
         });
         match result {

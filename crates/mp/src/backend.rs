@@ -8,10 +8,16 @@
 //! rather than merely citing it (experiment E6).
 //!
 //! Every register spawned through one factory shares the factory's single
-//! [`Reactor`]: a keyed store instantiating thousands of emulated
-//! registers still runs on the factory's fixed worker pool (default
-//! `min(8, parallelism)` threads), where the old design spawned `n`
-//! dedicated threads *per register*.
+//! [`Reactor`] (default `min(8, parallelism)` worker threads), where the
+//! old design spawned `n` dedicated threads *per register*. A base-register
+//! access drains its emulated register on the calling thread, so the
+//! reactor carries only Byzantine-endpoint traffic; with no endpoint taken,
+//! as for every register this factory makes, its workers stay parked.
+//!
+//! An owner's own accesses skip the read protocol: `load` by a thread
+//! participating as the owner, and the read half of the owner's `rmw`, are
+//! served from the owner's last written value (the soundness argument is
+//! on `MpCell::owner_last`).
 //!
 //! Process identity is threaded through automatically: a register access by
 //! a thread participating as `p_k` is served by `p_k`'s protocol node.
@@ -45,9 +51,21 @@ thread_local! {
 struct MpCell<T: Value> {
     owner: ProcessId,
     clients: Vec<Option<MpClient<T>>>,
-    /// Serializes the owner's operations, restoring the paper's
-    /// sequential-process semantics for owner RMW (cf. `register` docs).
-    owner_lock: Mutex<()>,
+    /// The owner's last written value (the initial value before any
+    /// write). The lock serializes the owner's operations, restoring the
+    /// paper's sequential-process semantics for owner RMW (cf. `register`
+    /// docs), and it lets the owner read its own register locally.
+    ///
+    /// Why a local read is sound: only the owner writes, and every owner
+    /// write runs under this lock and stores its value here once the write
+    /// protocol returns. So while the lock is held no write is in flight,
+    /// and the last completed write is exactly this value. A protocol read
+    /// issued at that moment returns the value of the last completed write:
+    /// `n − f` acks leave `f + 1` correct nodes at its `sn`, and no larger
+    /// `sn` exists that `f + 1` nodes could vouch for. So the read would
+    /// return exactly this value, and reading it under the lock is that
+    /// read, linearized at the moment the lock is held.
+    owner_last: Mutex<T>,
 }
 
 impl<T: Value> MpCell<T> {
@@ -87,21 +105,30 @@ impl<T: Value> MpCell<T> {
 }
 
 impl<T: Value> CellBackend<T> for MpCell<T> {
+    /// A thread participating as a correct owner reads its own last write
+    /// (see [`MpCell::owner_last`]); every other reader runs the read
+    /// protocol. A Byzantine owner writes only at the message level, past
+    /// this cell, so its register is always read through the protocol.
     fn load(&self) -> T {
+        let correct_owner = self.clients[self.owner.zero_based()].is_some();
+        if correct_owner && Participation::current_pid() == Some(self.owner) {
+            return self.owner_last.lock().clone();
+        }
         self.client_for_current_thread().read().1
     }
 
     fn store(&self, v: T) {
-        let _own = self.owner_lock.lock();
-        self.owner_client().write(v);
+        let mut last = self.owner_last.lock();
+        self.owner_client().write(v.clone());
+        *last = v;
     }
 
     fn rmw(&self, f: Box<dyn FnOnce(&mut T) + '_>) -> T {
-        let _own = self.owner_lock.lock();
-        let client = self.owner_client();
-        let (_, mut v) = client.read();
+        let mut last = self.owner_last.lock();
+        let mut v = last.clone();
         f(&mut v);
-        client.write(v.clone());
+        self.owner_client().write(v.clone());
+        last.clone_from(&v);
         v
     }
 }
@@ -230,6 +257,7 @@ impl RegisterFactory for MpFactory {
             byzantine: env.faulty(),
             trace: false,
         };
+        let owner_last = Mutex::new(init.clone());
         let reg = match CURRENT_GROUP.with(Cell::get) {
             Some(label) => {
                 let group = self
@@ -248,7 +276,7 @@ impl RegisterFactory for MpFactory {
                 (!env.is_faulty(pid)).then(|| reg.client(pid))
             })
             .collect();
-        let cell = MpCell { owner, clients, owner_lock: Mutex::new(()) };
+        let cell = MpCell { owner, clients, owner_last };
         self.registers.lock().push(Box::new(reg));
         custom_swmr(env.gate(), owner, name, Box::new(cell))
     }
@@ -369,6 +397,74 @@ mod tests {
         let factory = MpFactory::default();
         let (_w, r) = factory.create(sys.env(), ProcessId::new(1), "R".into(), 5u32);
         assert_eq!(r.read(), 5);
+    }
+
+    /// Protocol messages sent so far by the `index`-th register `factory`
+    /// spawned.
+    fn messages_of(factory: &MpFactory, index: usize) -> u64 {
+        let registers = factory.registers.lock();
+        registers[index].downcast_ref::<MpRegister<u32>>().expect("a u32 register").messages_sent()
+    }
+
+    #[test]
+    fn owner_reads_and_updates_run_no_read_protocol() {
+        let sys = System::builder(4).build();
+        let factory = MpFactory::default();
+        let (w, r) = factory.create(sys.env(), ProcessId::new(1), "R".into(), 0u32);
+        let owner = ProcessId::new(1);
+        let before = messages_of(&factory, 0);
+        sys.env().run_as(owner, || w.write(5));
+        let per_write = messages_of(&factory, 0) - before;
+        assert!(per_write > 0);
+        let before = messages_of(&factory, 0);
+        let after = sys.env().run_as(owner, || {
+            w.update(|v| {
+                *v += 1;
+                *v
+            })
+        });
+        assert_eq!(after, 6);
+        assert_eq!(messages_of(&factory, 0) - before, per_write, "an update is one write");
+        let before = messages_of(&factory, 0);
+        assert_eq!(sys.env().run_as(owner, || (w.read(), r.read())), (6, 6));
+        assert_eq!(messages_of(&factory, 0), before, "the owner reads locally");
+        let before = messages_of(&factory, 0);
+        assert_eq!(sys.env().run_as(ProcessId::new(2), || r.read()), 6);
+        assert!(messages_of(&factory, 0) > before, "a non-owner runs the read protocol");
+    }
+
+    #[test]
+    fn non_owner_reads_stay_monotone_under_local_owner_updates() {
+        let sys = System::builder(4).build();
+        let factory = MpFactory::default();
+        let (w, r) = factory.create(sys.env(), ProcessId::new(1), "C".into(), 0u32);
+        let env = sys.env();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                env.run_as(ProcessId::new(1), || {
+                    for i in 1..=200 {
+                        let now = w.update(|v| {
+                            *v += 1;
+                            *v
+                        });
+                        assert_eq!(now, i, "the owner sees its own writes");
+                    }
+                });
+            });
+            for reader in 2..=4 {
+                let r = r.clone();
+                s.spawn(move || {
+                    env.run_as(ProcessId::new(reader), || {
+                        let mut last = 0;
+                        while last < 200 {
+                            let v = r.read();
+                            assert!(v >= last, "p{reader} read {v} after {last}");
+                            last = v;
+                        }
+                    });
+                });
+            }
+        });
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   [`MpFactory::adversarial`](backend::MpFactory::adversarial);
 //! * [`reactor`] — a fixed pool of worker threads multiplexing any number
 //!   of event-driven tasks; quiet tasks cost nothing (workers park, no
-//!   polling);
+//!   polling). It drains only traffic that Byzantine endpoints inject:
+//!   client operations drain their register on the calling thread;
 //! * [`swmr`] — a signature-free emulation of an atomic SWMR register for
 //!   Byzantine systems with `n > 3f`, in the style of
 //!   Mostéfaoui–Petrolia–Raynal–Jard (the paper's citation [11]);
@@ -31,11 +32,12 @@
 //! [`swmr::NodeStateMachine`] has exactly two entry points —
 //! `on_message(from, msg)` for a delivered protocol message and
 //! `on_tick()` for housekeeping (an idle node starting its next queued
-//! client command) — and neither may block. All `n` nodes of one register
-//! form a single [`reactor::ReactorTask`] that pops the register's virtual
-//! event queue in `(delivery instant, send sequence)` order and feeds each
-//! event to the destination node, running the cascade (echo, validate,
-//! ack, state refresh) to quiescence.
+//! client command) — and neither may block. All correct nodes of one
+//! register form a single task that pops the register's virtual event
+//! queue in `(delivery instant, send sequence)` order and feeds each event
+//! to the destination node, running the cascade (echo, validate, ack,
+//! state refresh) to quiescence — on the thread of the client whose
+//! command it carries.
 //!
 //! This is how experiment E6 maps onto the paper: every *shared-memory
 //! step* taken by Algorithms 1–3 against an [`MpFactory`](backend::MpFactory)
@@ -43,7 +45,7 @@
 //! exchange (`Write`/`Echo`/`Valid`/`Ack` or `Read`/`State`) executed as a
 //! deterministic burst of state-machine transitions — and because nodes
 //! are data, not threads, a keyed store can hold *thousands* of emulated
-//! registers on one small worker pool where the previous design spent
+//! registers with no thread of their own, where an earlier design spent
 //! `n` OS threads per register.
 
 #![forbid(unsafe_code)]

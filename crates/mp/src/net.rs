@@ -48,6 +48,18 @@
 //! it (bounded reorder), or diverts a link's envelopes into a pen that
 //! re-enters the heap through the same clamp (hold-back) — so every tactic
 //! inherits the invariants instead of having to re-establish them.
+//!
+//! # Who drains, and who is woken
+//!
+//! A register's network is drained by whichever thread holds its task:
+//! normally the client whose operation is in flight (see [`crate::swmr`]).
+//! Endpoints of the nodes inside that task send only during a drain, which
+//! consumes what they send, so their sends wake no one. Endpoints handed
+//! out to Byzantine code send from outside any drain; their sends invoke
+//! the network's wake hook, which schedules the hosting reactor task.
+//! A destination nobody reads (a declared-Byzantine node whose endpoint
+//! was never taken) gets no queue at all: [`Endpoint::send`] drops its
+//! traffic without moving any other delivery.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -172,6 +184,9 @@ struct NetState<M> {
     /// `true` while the hosting task drains this network (see
     /// [`Net::settle`]).
     draining: bool,
+    /// Destinations nobody reads (a declared-Byzantine node whose endpoint
+    /// was never taken): sends to them are dropped, see [`Endpoint::send`].
+    unread: Vec<bool>,
 }
 
 /// The shared fabric of one simulated network: destination queues, the
@@ -184,8 +199,9 @@ pub(crate) struct Net<M> {
     state: Mutex<NetState<M>>,
     /// Signals blocked [`Endpoint::recv_timeout`] callers on every send.
     cv: Condvar,
-    /// Invoked (outside the state lock) after every send, so a reactor can
-    /// schedule the task that drains this network.
+    /// Invoked (outside the state lock) after every send from an endpoint
+    /// that [wakes the host](Net::endpoint), so a reactor can schedule the
+    /// task that drains this network.
     wake: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -222,15 +238,25 @@ impl<M: Send + 'static> Net<M> {
                 adv_draws: 0,
                 pens,
                 draining: false,
+                unread: vec![false; n],
             }),
             cv: Condvar::new(),
             wake: Mutex::new(None),
         })
     }
 
-    /// The endpoint of node `pid` on this network.
-    pub(crate) fn endpoint(self: &Arc<Self>, pid: ProcessId) -> Endpoint<M> {
-        Endpoint { me: pid, net: Arc::clone(self) }
+    /// The endpoint of node `pid` on this network. With `wakes_host` set,
+    /// each send also invokes the wake hook (see the module docs on who is
+    /// woken).
+    pub(crate) fn endpoint(self: &Arc<Self>, pid: ProcessId, wakes_host: bool) -> Endpoint<M> {
+        Endpoint { me: pid, net: Arc::clone(self), wakes_host }
+    }
+
+    /// Marks `pid` as a destination nobody reads (`true`), or as read
+    /// again (`false`). See [`Endpoint::send`] for what happens to its
+    /// traffic.
+    pub(crate) fn set_unread(&self, pid: ProcessId, unread: bool) {
+        self.state.lock().unread[pid.zero_based()] = unread;
     }
 
     /// Installs the wake hook a hosting reactor task is scheduled through.
@@ -431,12 +457,26 @@ impl<M: Send + 'static> Net<M> {
     pub(crate) fn trace(&self) -> Option<DeliverySchedule> {
         self.state.lock().trace.clone()
     }
+
+    /// Number of sends so far, dropped ones included.
+    #[cfg(test)]
+    pub(crate) fn sent(&self) -> u64 {
+        self.state.lock().seq
+    }
+
+    /// Number of messages waiting in `pid`'s queue.
+    #[cfg(test)]
+    pub(crate) fn queued_for(&self, pid: ProcessId) -> usize {
+        self.state.lock().queues[pid.zero_based()].len()
+    }
 }
 
 /// One node's attachment to the network.
 pub struct Endpoint<M> {
     me: ProcessId,
     net: Arc<Net<M>>,
+    /// Whether a send invokes the network's wake hook (see [`Net::endpoint`]).
+    wakes_host: bool,
 }
 
 impl<M: Send + 'static> Endpoint<M> {
@@ -451,6 +491,13 @@ impl<M: Send + 'static> Endpoint<M> {
     /// hold-back pen when an adversary tactic captures the link. Reliable
     /// channels: a send never fails, and penned messages are still
     /// eventually delivered.
+    ///
+    /// A send to a destination marked unread (a declared-Byzantine node
+    /// whose endpoint nobody took) is dropped — but only after it has drawn
+    /// its `seq`, its per-sender jitter index and its link-clock floor, so
+    /// every other message keeps exactly the instant and order it would
+    /// have had. Nothing ever pops that destination's queue, so the drop
+    /// changes no delivery; it only stops the queue from growing forever.
     pub fn send(&self, to: ProcessId, payload: M) {
         {
             let mut s = self.net.state.lock();
@@ -475,6 +522,9 @@ impl<M: Send + 'static> Endpoint<M> {
             s.link_clock[link] = deliver_at;
             let seq = s.seq;
             s.seq += 1;
+            if s.unread[to.zero_based()] {
+                return;
+            }
             let env = Envelope { from: self.me, deliver_at, seq, payload };
             let pen = s.pens.iter().position(|p| p.writer == self.me && p.victim == to);
             match pen {
@@ -483,9 +533,11 @@ impl<M: Send + 'static> Endpoint<M> {
             }
         }
         self.net.cv.notify_all();
-        let wake = self.net.wake.lock().clone();
-        if let Some(wake) = wake {
-            wake();
+        if self.wakes_host {
+            let wake = self.net.wake.lock().clone();
+            if let Some(wake) = wake {
+                wake();
+            }
         }
     }
 
@@ -532,7 +584,7 @@ impl<M: Send + 'static> Endpoint<M> {
 
 impl<M> Clone for Endpoint<M> {
     fn clone(&self) -> Self {
-        Endpoint { me: self.me, net: Arc::clone(&self.net) }
+        Endpoint { me: self.me, net: Arc::clone(&self.net), wakes_host: self.wakes_host }
     }
 }
 
@@ -563,7 +615,7 @@ pub fn adversarial_network<M: Send + 'static>(
     adversary: AdversaryPolicy,
 ) -> Vec<Endpoint<M>> {
     let net = Net::new(n, config, adversary, false);
-    (1..=n).map(|i| net.endpoint(ProcessId::new(i))).collect()
+    (1..=n).map(|i| net.endpoint(ProcessId::new(i), true)).collect()
 }
 
 #[cfg(test)]
@@ -661,7 +713,7 @@ mod tests {
     fn traced_run(seed: u64) -> Vec<(ProcessId, u32)> {
         let config = NetConfig::jittery(Duration::from_millis(4), seed);
         let net = Net::<u32>::new(3, config, AdversaryPolicy::none(), true);
-        let eps: Vec<_> = (1..=3).map(|i| net.endpoint(ProcessId::new(i))).collect();
+        let eps: Vec<_> = (1..=3).map(|i| net.endpoint(ProcessId::new(i), true)).collect();
         for round in 0..32u32 {
             eps[0].send(ProcessId::new(3), round);
             eps[1].send(ProcessId::new(3), 100 + round);
@@ -848,6 +900,44 @@ mod tests {
         eps[0].send(p2, 9); // penned; no reply traffic will ever come
                             // The victim's recv timeout flushes the pens (reliability fallback).
         assert_eq!(eps[1].recv_timeout(Duration::from_millis(20)).unwrap(), (p1, 9));
+    }
+
+    #[test]
+    fn dropping_unread_traffic_moves_no_other_delivery() {
+        // p1 and p4 interleave sends to p2 and p3 under jitter. Marking p3
+        // unread empties its queue and leaves p2's delivery order as it
+        // was: each dropped send still drew its seq, jitter index and
+        // link-clock floor.
+        let receive_at_p2 = |drop_p3: bool| {
+            let net = Net::<u32>::new(
+                4,
+                NetConfig::jittery(Duration::from_millis(3), 5),
+                AdversaryPolicy::none(),
+                true,
+            );
+            let eps: Vec<_> = (1..=4).map(|i| net.endpoint(ProcessId::new(i), true)).collect();
+            if drop_p3 {
+                net.set_unread(ProcessId::new(3), true);
+            }
+            for i in 0..24u32 {
+                for sender in [0, 3] {
+                    eps[sender].send(ProcessId::new(2 + (i as usize % 2)), i);
+                    eps[sender].send(ProcessId::new(2), 100 + i);
+                }
+            }
+            let p3_queue = net.queued_for(ProcessId::new(3));
+            let mut got = Vec::new();
+            while let Some(pair) = eps[1].recv_timeout(Duration::from_millis(5)) {
+                got.push(pair);
+            }
+            (got, p3_queue)
+        };
+        let (kept, queued) = receive_at_p2(false);
+        let (dropped, unread_queue) = receive_at_p2(true);
+        assert_eq!(queued, 24, "a read destination keeps its traffic");
+        assert_eq!(unread_queue, 0, "an unread destination keeps nothing");
+        assert_eq!(kept.len(), 72);
+        assert_eq!(kept, dropped, "the drop must not move any other delivery");
     }
 
     #[test]

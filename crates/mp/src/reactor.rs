@@ -1,15 +1,22 @@
 //! The event-loop backend of the message-passing emulation: one small
-//! fixed pool of worker threads drives *every* protocol node of *every*
-//! emulated register registered with it.
+//! fixed pool of worker threads that can drive *every* emulated register
+//! registered with it.
 //!
 //! The unit of scheduling is a [`ReactorTask`] — for the SWMR emulation,
-//! one task per [`MpRegister`](crate::swmr::MpRegister) owning all of that
-//! register's node state machines and its virtual-time network. A task is
-//! *scheduled* whenever new input arrives (a client command or a network
-//! send); a worker then runs it to quiescence, draining everything that is
-//! ready without ever blocking. A register is therefore single-threaded
-//! with respect to itself (its task is guarded by a mutex) while thousands
-//! of registers share a handful of OS threads — the property that lets an
+//! one task per standalone [`MpRegister`](crate::swmr::MpRegister), or one
+//! per [`RegisterGroup`](crate::swmr::RegisterGroup), each draining its
+//! registers' node state machines and virtual-time networks. A task is
+//! *scheduled* when input arrives that no client drain will consume; a
+//! worker then runs it to quiescence, draining everything that is ready
+//! without ever blocking.
+//!
+//! Client operations do not come through here: a client drains its own
+//! register on the calling thread (see [`crate::swmr`]), and the sends its
+//! nodes make inside that drain wake no one. What is left for the reactor
+//! is traffic that Byzantine endpoints inject from outside any drain. A
+//! register's task is guarded by one mutex whichever thread runs it, so a
+//! register stays single-threaded with respect to itself while thousands
+//! of registers need no thread of their own — the property that lets an
 //! MP-backed store hold thousands of keys where the old thread-per-node
 //! design needed `keys × n` threads.
 //!
@@ -25,7 +32,8 @@
 //! ordering guarantee beyond them:
 //!
 //! 1. **Task mutual exclusion** — a task's `run` never overlaps itself
-//!    (the per-slot mutex), so a register's node state machines are
+//!    (the per-slot mutex), and a register task shares its own mutex with
+//!    the clients that drain it, so a register's node state machines are
 //!    single-threaded with respect to each other.
 //! 2. **No lost wake-ups** — the per-task `queued` dedup flag is cleared
 //!    *before* `run` executes, so input arriving mid-run re-queues the

@@ -29,11 +29,24 @@
 //! Nodes are **message-driven state machines**, not threads: every node
 //! implements [`NodeStateMachine`], whose transitions fire on a delivered
 //! protocol message (`on_message`) or on a housekeeping tick (`on_tick` —
-//! where an idle node picks up its next queued client command). All `n`
-//! nodes of one register live in a single [`ReactorTask`] that drains the
-//! register's virtual-time network in seeded delivery order, so a register
-//! costs **zero** dedicated threads: any number of registers multiplex onto
-//! one [`Reactor`]'s fixed worker pool (see [`crate::reactor`]).
+//! where an idle node picks up its next queued client command). All correct
+//! nodes of one register live in a single task that drains the register's
+//! virtual-time network in seeded delivery order, so a register costs
+//! **zero** dedicated threads.
+//!
+//! Who runs a drain: the caller. [`MpClient::write`]/[`MpClient::read`]
+//! queue the command, lock the register's task and drain it on the calling
+//! thread; the drain reaches quiescence with the command complete. Node
+//! sends happen inside that drain, which consumes them, so they wake no
+//! one. Only traffic a Byzantine endpoint injects from outside wakes the
+//! hosting [`Reactor`] (see [`crate::reactor`]), whose worker then drains
+//! the same task under the same lock. Delivery order is decided by the
+//! network alone, so it does not depend on which thread drains.
+//!
+//! State stays bounded by the writes in flight: a node retires a write's
+//! echo/validation state once it can no longer act on it (the safety
+//! argument is on `Node::retire_if_done`), and sends to a declared-Byzantine
+//! node nobody reads are dropped (see [`Endpoint::send`]).
 //!
 //! Liveness caveat: reads are guaranteed to terminate when the writer
 //! eventually pauses — the classic cost of atomic reads without
@@ -41,11 +54,11 @@
 //! `(best, v)`, which a writer that never stops can keep ahead of); all
 //! tests and benches satisfy this.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, Sender};
 
 use byzreg_runtime::{ProcessId, Value};
 
@@ -110,8 +123,8 @@ enum Cmd<V> {
 }
 
 /// A poll-driven protocol node: all state transitions fire either on a
-/// delivered message or on a tick issued by the hosting reactor task after
-/// each delivery drain. Implementations must never block — replacing the
+/// delivered message or on a tick issued by the hosting task after each
+/// delivery drain. Implementations must never block — replacing the
 /// old blocking `recv_timeout` node loop (and its idle poll backoff, dead
 /// now that quiet nodes simply receive no calls).
 pub trait NodeStateMachine<V: Value> {
@@ -132,10 +145,14 @@ struct Node<V: Value> {
     // Validated state.
     ts: u64,
     val: V,
-    validated: HashSet<u64>,
-    echoed: HashMap<u64, V>,
-    echo_from: HashMap<(u64, V), HashSet<ProcessId>>,
-    valid_from: HashMap<(u64, V), HashSet<ProcessId>>,
+    /// Echo/validation state of every write `sn` this node has seen and not
+    /// yet retired (see [`Node::retire_if_done`]).
+    writes: HashMap<u64, WriteState<V>>,
+    /// Every `sn` in `1..=retired_to` is retired, plus those in
+    /// `retired_above` (retired out of order; it drains into the
+    /// watermark as the gaps close).
+    retired_to: u64,
+    retired_above: BTreeSet<u64>,
     pending_readers: HashSet<(ProcessId, u64)>,
     // Client-side state (this node doubles as its process's client agent).
     next_sn: u64,
@@ -143,6 +160,29 @@ struct Node<V: Value> {
     queued: VecDeque<Cmd<V>>,
     write_op: Option<(u64, HashSet<ProcessId>, Sender<()>)>,
     read_op: Option<ReadOp<V>>,
+}
+
+/// What one node knows about one write `sn`.
+struct WriteState<V> {
+    /// This node has broadcast its `ECHO(sn, ·)`.
+    echoed: bool,
+    /// This node has validated `sn`.
+    validated: bool,
+    /// Senders of `ECHO(sn, v)`, per value `v`.
+    echo_from: HashMap<V, HashSet<ProcessId>>,
+    /// Senders of `VALID(sn, v)`, per value `v`.
+    valid_from: HashMap<V, HashSet<ProcessId>>,
+}
+
+impl<V> Default for WriteState<V> {
+    fn default() -> Self {
+        WriteState {
+            echoed: false,
+            validated: false,
+            echo_from: HashMap::new(),
+            valid_from: HashMap::new(),
+        }
+    }
 }
 
 struct ReadOp<V> {
@@ -153,9 +193,11 @@ struct ReadOp<V> {
 
 impl<V: Value> Node<V> {
     fn validate(&mut self, sn: u64, v: V) {
-        if !self.validated.insert(sn) {
+        let state = self.writes.entry(sn).or_default();
+        if state.validated {
             return;
         }
+        state.validated = true;
         self.ep.send(self.writer, Msg::Ack { sn });
         self.ep.broadcast(Msg::Valid { sn, v: v.clone() });
         if sn > self.ts {
@@ -165,6 +207,47 @@ impl<V: Value> Node<V> {
             for (r, rid) in self.pending_readers.clone() {
                 self.ep.send(r, Msg::State { rid, ts: self.ts, v: self.val.clone() });
             }
+        }
+    }
+
+    fn is_retired(&self, sn: u64) -> bool {
+        (1..=self.retired_to).contains(&sn) || self.retired_above.contains(&sn)
+    }
+
+    /// Forgets `sn` once this node has both echoed and validated it.
+    ///
+    /// Safety: from then on no `WRITE`, `ECHO` or `VALID` for `sn` can
+    /// change what this node sends.
+    ///
+    /// * `WRITE(sn, v)` acts only by echoing, and only if `sn` is not yet
+    ///   echoed.
+    /// * `ECHO(sn, v)` acts only by amplifying, if `sn` is not yet echoed,
+    ///   or by validating, if `sn` is not yet validated.
+    /// * `VALID(sn, v)` acts only by validating, if `sn` is not yet
+    ///   validated.
+    ///
+    /// With both flags set, each of these only adds a sender to a count
+    /// that no rule will consult again, whatever value it carries — a
+    /// Byzantine `ECHO`/`VALID` with another value included. `ACK`, `READ`,
+    /// `STATE` and `READ_DONE` never read this state, and what a validation
+    /// changed (`ts`, `val`) is kept. So dropping `sn`'s entry and ignoring
+    /// every later `WRITE`/`ECHO`/`VALID` for `sn` leaves every send of the
+    /// node, and thus the delivery schedule, exactly as it was; it bounds a
+    /// node's per-write state by the writes in flight. The ignoring is
+    /// what makes forgetting safe: a fresh entry would read as not yet
+    /// echoed, and late echoes would make the node echo `sn` again.
+    fn retire_if_done(&mut self, sn: u64) {
+        if !self.writes.get(&sn).is_some_and(|w| w.echoed && w.validated) {
+            return;
+        }
+        self.writes.remove(&sn);
+        if sn == self.retired_to + 1 {
+            self.retired_to = sn;
+            while self.retired_above.remove(&(self.retired_to + 1)) {
+                self.retired_to += 1;
+            }
+        } else {
+            self.retired_above.insert(sn);
         }
     }
 
@@ -190,13 +273,22 @@ impl<V: Value> NodeStateMachine<V> for Node<V> {
     fn on_message(&mut self, from: ProcessId, msg: Msg<V>) {
         match msg {
             Msg::Write { sn, v } => {
-                if from == self.writer && !self.echoed.contains_key(&sn) {
-                    self.echoed.insert(sn, v.clone());
+                if from != self.writer || self.is_retired(sn) {
+                    return;
+                }
+                let state = self.writes.entry(sn).or_default();
+                if !state.echoed {
+                    state.echoed = true;
                     self.ep.broadcast(Msg::Echo { sn, v });
+                    self.retire_if_done(sn);
                 }
             }
             Msg::Echo { sn, v } => {
-                let set = self.echo_from.entry((sn, v.clone())).or_default();
+                if self.is_retired(sn) {
+                    return;
+                }
+                let state = self.writes.entry(sn).or_default();
+                let set = state.echo_from.entry(v.clone()).or_default();
                 if !set.insert(from) {
                     return;
                 }
@@ -204,23 +296,29 @@ impl<V: Value> NodeStateMachine<V> for Node<V> {
                 // Bracha amplification / validation thresholds, as in the
                 // paper: `f + 1` matching echoes amplify, `n − f` validate.
                 let amplify = self.f + 1;
-                if count >= amplify && !self.echoed.contains_key(&sn) {
-                    self.echoed.insert(sn, v.clone());
+                if count >= amplify && !state.echoed {
+                    state.echoed = true;
                     self.ep.broadcast(Msg::Echo { sn, v: v.clone() });
                 }
-                if count >= self.n - self.f && !self.validated.contains(&sn) {
+                if count >= self.n - self.f && !state.validated {
                     self.validate(sn, v);
                 }
+                self.retire_if_done(sn);
             }
             Msg::Valid { sn, v } => {
-                let set = self.valid_from.entry((sn, v.clone())).or_default();
+                if self.is_retired(sn) {
+                    return;
+                }
+                let state = self.writes.entry(sn).or_default();
+                let set = state.valid_from.entry(v.clone()).or_default();
                 if !set.insert(from) {
                     return;
                 }
                 // `f + 1` VALIDs contain one correct validator (totality).
                 let amplify = self.f + 1;
-                if set.len() >= amplify && !self.validated.contains(&sn) {
+                if set.len() >= amplify && !state.validated {
                     self.validate(sn, v);
+                    self.retire_if_done(sn);
                 }
             }
             Msg::Ack { sn } => {
@@ -301,9 +399,9 @@ fn decide_read<V: Value>(
     exact.into_iter().find(|(_, c)| *c >= n - f).map(|(v, _)| (best, v.clone()))
 }
 
-/// The reactor task hosting one register: all correct nodes plus the
-/// register's network, drained in virtual-delivery order. One run processes
-/// every queued client command and every scheduled message to quiescence.
+/// The task hosting one register: all correct nodes plus the register's
+/// network, drained in virtual-delivery order. One run processes every
+/// queued client command and every scheduled message to quiescence.
 struct RegisterTask<V: Value> {
     net: Arc<Net<Msg<V>>>,
     /// `None` for declared-Byzantine pids (their queue is read externally
@@ -313,7 +411,7 @@ struct RegisterTask<V: Value> {
     managed: Vec<bool>,
 }
 
-impl<V: Value> ReactorTask for RegisterTask<V> {
+impl<V: Value> RegisterTask<V> {
     fn run(&mut self) {
         self.net.set_draining(true);
         loop {
@@ -345,13 +443,33 @@ impl<V: Value> ReactorTask for RegisterTask<V> {
     }
 }
 
-/// One grouped register's shared slot: the hosting [`RegisterGroup`] drains
-/// the task while present; the register's shutdown takes it out.
-type GroupSlot = Arc<parking_lot::Mutex<Option<Box<dyn ReactorTask>>>>;
+/// One register's task, shared by every thread that drains it: the
+/// register's clients and, for Byzantine-endpoint traffic, a reactor
+/// worker. `None` once the register has shut down.
+type TaskSlot<V> = Arc<parking_lot::Mutex<Option<RegisterTask<V>>>>;
+
+/// Drains the register in `slot` to quiescence, if it is still live. The
+/// lock makes the register single-threaded with respect to itself,
+/// whichever thread runs it.
+fn drain<V: Value>(slot: &TaskSlot<V>) {
+    if let Some(task) = slot.lock().as_mut() {
+        task.run();
+    }
+}
+
+/// A standalone register's slot as a reactor task of its own.
+struct HostedRegister<V: Value>(TaskSlot<V>);
+
+impl<V: Value> ReactorTask for HostedRegister<V> {
+    fn run(&mut self) {
+        drain(&self.0);
+    }
+}
 
 #[derive(Clone)]
 struct GroupMember {
-    slot: GroupSlot,
+    /// Drains the member's register (see [`drain`]).
+    drain: Arc<dyn Fn() + Send + Sync>,
     /// Edge-triggered dedup flag: set by the member's wake hook when it
     /// enqueues the member on the group's ready list, cleared by the host
     /// just before draining the member — input arriving mid-drain re-sets
@@ -383,20 +501,17 @@ impl ReactorTask for GroupHostTask {
             // Clear the flag *before* draining: input arriving mid-drain
             // re-enqueues the member instead of being lost.
             member.pending.store(false, Ordering::Release);
-            let mut slot = member.slot.lock();
-            if let Some(task) = slot.as_mut() {
-                task.run();
-            }
+            (member.drain)();
         }
     }
 }
 
 /// A co-scheduling group of emulated registers: every member is hosted on
-/// **one** reactor task, so one dispatch drains all members with pending
-/// input. A keyed store puts all base registers of one help shard's keys in
-/// one group — a fused cross-key verify batch then wakes one task per
-/// touched shard instead of one per base register, amortizing scheduler
-/// wake-ups across the batch.
+/// **one** reactor task, so one dispatch drains all members woken by
+/// Byzantine-endpoint traffic. Client operations never go through it (they
+/// drain their register on their own thread, see [`MpClient`]); a keyed
+/// store still puts all base registers of one help shard's keys in one
+/// group, so an attack spread over a shard's keys costs one reactor task.
 ///
 /// Members enqueue themselves on a deduped ready list, so a group of
 /// thousands of quiet registers adds nothing to a dispatch's cost.
@@ -436,7 +551,7 @@ impl std::fmt::Debug for RegisterGroup {
 /// The pieces of one emulated register before it is handed to a scheduler
 /// (standalone task or group member).
 struct BuiltRegister<V: Value> {
-    task: RegisterTask<V>,
+    slot: TaskSlot<V>,
     cmd_tx: Vec<Option<Sender<Cmd<V>>>>,
     byz_eps: Vec<Option<Endpoint<Msg<V>>>>,
     net: Arc<Net<Msg<V>>>,
@@ -483,23 +598,25 @@ impl MpConfig {
     }
 }
 
-/// One emulated SWMR register over its own `n`-node virtual network,
-/// hosted as a single task on a [`Reactor`].
+/// One emulated SWMR register over its own `n`-node virtual network.
 ///
 /// The writer is `p1`. Every process has a client handle to its co-located
 /// node; handles are thread-safe and serialize their process's operations.
+/// A client operation drains the register on the caller's thread; the
+/// hosting [`Reactor`] (a task of its own, or a [`RegisterGroup`]'s host
+/// task) drains only what Byzantine endpoints inject from outside.
 pub struct MpRegister<V: Value> {
     writer: ProcessId,
+    slot: TaskSlot<V>,
     cmd_tx: Vec<Option<Sender<Cmd<V>>>>,
     byz_eps: parking_lot::Mutex<Vec<Option<Endpoint<Msg<V>>>>>,
     net: Arc<Net<Msg<V>>>,
     reactor: Arc<Reactor>,
     /// `true` when `spawn` created a private reactor that `shutdown` owns.
     owns_reactor: bool,
-    task: TaskId,
-    /// `Some` for grouped registers: `task` is the group's host task, and
-    /// shutdown empties this slot instead of removing the shared task.
-    group_slot: Option<GroupSlot>,
+    /// The reactor task of a standalone register; `None` for a group
+    /// member, which the group's host task serves.
+    task: Option<TaskId>,
     wake: Arc<dyn Fn() + Send + Sync>,
     n: usize,
 }
@@ -527,41 +644,29 @@ impl<V: Value> MpRegister<V> {
     /// Panics if `n <= 3f` (see [`MpRegister::spawn`]).
     #[must_use]
     pub fn spawn_on(reactor: &Arc<Reactor>, config: &MpConfig, v0: V) -> Self {
-        let BuiltRegister { task, cmd_tx, byz_eps, net } = Self::build(config, v0);
-        let id = reactor.register(Box::new(task));
-        let wake = reactor.waker(id);
-        net.set_wake(Arc::clone(&wake));
-        MpRegister {
-            writer: config.writer,
-            cmd_tx,
-            byz_eps: parking_lot::Mutex::new(byz_eps),
-            net,
-            reactor: Arc::clone(reactor),
-            owns_reactor: false,
-            task: id,
-            group_slot: None,
-            wake,
-            n: config.n,
-        }
+        let built = Self::build(config, v0);
+        let id = reactor.register(Box::new(HostedRegister(Arc::clone(&built.slot))));
+        Self::assemble(built, config, reactor, Some(id), reactor.waker(id))
     }
 
-    /// Spawns the register as one **member** of `group`: its events are
-    /// drained by the group's shared host task instead of a dedicated one,
-    /// so wake-ups of same-group registers coalesce into single dispatches
-    /// (see [`RegisterGroup`]).
+    /// Spawns the register as one **member** of `group`: Byzantine-endpoint
+    /// traffic is drained by the group's shared host task instead of a
+    /// dedicated one (see [`RegisterGroup`]).
     ///
     /// # Panics
     ///
     /// Panics if `n <= 3f` (see [`MpRegister::spawn`]).
     #[must_use]
     pub fn spawn_in_group(group: &RegisterGroup, config: &MpConfig, v0: V) -> Self {
-        let BuiltRegister { task, cmd_tx, byz_eps, net } = Self::build(config, v0);
-        let slot: GroupSlot =
-            Arc::new(parking_lot::Mutex::new(Some(Box::new(task) as Box<dyn ReactorTask>)));
+        let built = Self::build(config, v0);
+        let slot = Arc::clone(&built.slot);
         let pending = Arc::new(AtomicBool::new(false));
         let index = {
             let mut members = group.shared.members.lock();
-            members.push(GroupMember { slot: Arc::clone(&slot), pending: Arc::clone(&pending) });
+            members.push(GroupMember {
+                drain: Arc::new(move || drain(&slot)),
+                pending: Arc::clone(&pending),
+            });
             members.len() - 1
         };
         let shared = Arc::clone(&group.shared);
@@ -572,23 +677,11 @@ impl<V: Value> MpRegister<V> {
             }
             host_wake();
         });
-        net.set_wake(Arc::clone(&wake));
-        MpRegister {
-            writer: config.writer,
-            cmd_tx,
-            byz_eps: parking_lot::Mutex::new(byz_eps),
-            net,
-            reactor: Arc::clone(&group.reactor),
-            owns_reactor: false,
-            task: group.task,
-            group_slot: Some(slot),
-            wake,
-            n: config.n,
-        }
+        Self::assemble(built, config, &group.reactor, None, wake)
     }
 
-    /// Builds the register's nodes, network, and reactor task (shared by
-    /// the standalone and grouped spawn paths).
+    /// Builds the register's nodes, network, and task (shared by the
+    /// standalone and grouped spawn paths).
     fn build(config: &MpConfig, v0: V) -> BuiltRegister<V> {
         assert!(config.n > 3 * config.f, "the MP emulation requires n > 3f");
         let net = Net::<Msg<V>>::new(config.n, config.net, config.adversary.clone(), config.trace);
@@ -599,9 +692,10 @@ impl<V: Value> MpRegister<V> {
         let mut managed = Vec::with_capacity(config.n);
         for i in 1..=config.n {
             let pid = ProcessId::new(i);
-            let ep = net.endpoint(pid);
             if config.byzantine.contains(&pid) {
-                byz_eps[pid.zero_based()] = Some(ep);
+                // Until someone takes this endpoint, nobody reads its queue.
+                net.set_unread(pid, true);
+                byz_eps[pid.zero_based()] = Some(net.endpoint(pid, true));
                 cmd_tx.push(None);
                 nodes.push(None);
                 cmds.push(None);
@@ -613,16 +707,15 @@ impl<V: Value> MpRegister<V> {
             cmds.push(Some(rx));
             managed.push(true);
             nodes.push(Some(Node {
-                ep,
+                ep: net.endpoint(pid, false),
                 n: config.n,
                 f: config.f,
                 writer: config.writer,
                 ts: 0,
                 val: v0.clone(),
-                validated: HashSet::new(),
-                echoed: HashMap::new(),
-                echo_from: HashMap::new(),
-                valid_from: HashMap::new(),
+                writes: HashMap::new(),
+                retired_to: 0,
+                retired_above: BTreeSet::new(),
                 pending_readers: HashSet::new(),
                 next_sn: 0,
                 next_rid: 0,
@@ -632,7 +725,32 @@ impl<V: Value> MpRegister<V> {
             }));
         }
         let task = RegisterTask { net: Arc::clone(&net), nodes, cmds, managed };
-        BuiltRegister { task, cmd_tx, byz_eps, net }
+        BuiltRegister { slot: Arc::new(parking_lot::Mutex::new(Some(task))), cmd_tx, byz_eps, net }
+    }
+
+    /// Wires a built register to the scheduler that serves its
+    /// Byzantine-endpoint traffic through `wake`.
+    fn assemble(
+        built: BuiltRegister<V>,
+        config: &MpConfig,
+        reactor: &Arc<Reactor>,
+        task: Option<TaskId>,
+        wake: Arc<dyn Fn() + Send + Sync>,
+    ) -> Self {
+        let BuiltRegister { slot, cmd_tx, byz_eps, net } = built;
+        net.set_wake(Arc::clone(&wake));
+        MpRegister {
+            writer: config.writer,
+            slot,
+            cmd_tx,
+            byz_eps: parking_lot::Mutex::new(byz_eps),
+            net,
+            reactor: Arc::clone(reactor),
+            owns_reactor: false,
+            task,
+            wake,
+            n: config.n,
+        }
     }
 
     /// A client handle for process `pid` (any correct process; `p1` may
@@ -647,23 +765,43 @@ impl<V: Value> MpRegister<V> {
         let tx = self.cmd_tx[pid.zero_based()]
             .clone()
             .unwrap_or_else(|| panic!("{pid} is Byzantine; use byzantine_endpoint"));
-        MpClient { pid, writer: self.writer, tx, wake: Arc::clone(&self.wake) }
+        MpClient {
+            pid,
+            writer: self.writer,
+            tx,
+            slot: Arc::clone(&self.slot),
+            wake: Arc::clone(&self.wake),
+        }
     }
 
     /// The raw network endpoint of a declared-Byzantine node.
+    ///
+    /// Until its endpoint is taken, nobody can read a Byzantine node's
+    /// queue, so the network drops what correct nodes send it (see
+    /// [`Endpoint::send`]; the drop moves no other delivery). Delivery to
+    /// the node starts from the moment this call takes the endpoint: it
+    /// receives every message sent after the take, none sent before.
     ///
     /// # Panics
     ///
     /// Panics if `pid` is correct or the endpoint was taken.
     #[must_use]
     pub fn byzantine_endpoint(&self, pid: ProcessId) -> Endpoint<Msg<V>> {
-        self.byz_eps.lock()[pid.zero_based()].take().expect("endpoint available")
+        let ep = self.byz_eps.lock()[pid.zero_based()].take().expect("endpoint available");
+        self.net.set_unread(pid, false);
+        ep
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Number of protocol messages sent so far.
+    #[cfg(test)]
+    pub(crate) fn messages_sent(&self) -> u64 {
+        self.net.sent()
     }
 
     /// The delivery order recorded so far as `(from, to)` pairs; `None`
@@ -691,16 +829,14 @@ impl<V: Value> MpRegister<V> {
         self.net.settle(&managed);
     }
 
-    /// Removes the register's task from its scheduler — its own reactor
-    /// task, or just its slot within the hosting [`RegisterGroup`]
-    /// (clients panic on further use, as when the node threads of the old
-    /// design were stopped). Idempotent; also invoked by `Drop`.
+    /// Drops the register's task: its slot empties (clients panic on
+    /// further use, as when the node threads of the old design were
+    /// stopped), and a standalone register's reactor task is removed.
+    /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
-        match &self.group_slot {
-            Some(slot) => {
-                slot.lock().take();
-            }
-            None => self.reactor.remove(self.task),
+        self.slot.lock().take();
+        if let Some(id) = self.task {
+            self.reactor.remove(id);
         }
         if self.owns_reactor {
             self.reactor.shutdown();
@@ -721,11 +857,16 @@ impl<V: Value> std::fmt::Debug for MpRegister<V> {
 }
 
 /// A process's client handle to an [`MpRegister`].
+///
+/// An operation queues its command, then drains the register on the
+/// calling thread. Every correct node lives in that one drain, so it runs
+/// to quiescence with the command complete: no thread handoff, no wake.
 #[derive(Clone)]
-pub struct MpClient<V> {
+pub struct MpClient<V: Value> {
     pid: ProcessId,
     writer: ProcessId,
     tx: Sender<Cmd<V>>,
+    slot: TaskSlot<V>,
     wake: Arc<dyn Fn() + Send + Sync>,
 }
 
@@ -744,9 +885,7 @@ impl<V: Value> MpClient<V> {
     pub fn write(&self, v: V) {
         assert!(self.pid == self.writer, "{} does not own the write port", self.pid);
         let (reply_tx, reply_rx) = bounded(1);
-        self.tx.send(Cmd::Write(v, reply_tx)).expect("node alive");
-        (self.wake)();
-        let _ = reply_rx.recv();
+        let _ = self.call(Cmd::Write(v, reply_tx), &reply_rx);
     }
 
     /// Reads the register (blocks until the read decision rule fires).
@@ -754,13 +893,31 @@ impl<V: Value> MpClient<V> {
     #[must_use]
     pub fn read(&self) -> (u64, V) {
         let (reply_tx, reply_rx) = bounded(1);
-        self.tx.send(Cmd::Read(reply_tx)).expect("node alive");
-        (self.wake)();
-        reply_rx.recv().expect("node alive")
+        self.call(Cmd::Read(reply_tx), &reply_rx).expect("node alive")
+    }
+
+    /// Queues `cmd`, drains the register on this thread, and takes the
+    /// reply. The lock is blocking: waiting out another thread's drain is
+    /// cheaper than handing the command to it, and that drain may well
+    /// complete this command too.
+    fn call<R>(&self, cmd: Cmd<V>, reply: &Receiver<R>) -> Result<R, RecvError> {
+        self.tx.send(cmd).expect("node alive");
+        drain(&self.slot);
+        reply.try_recv().or_else(|_| {
+            // Cold. The drain above started after the command was queued
+            // and ran every correct node to quiescence, and with all sends
+            // delivered every correct node ends a write acked by `n − f`
+            // and a read answered by `n − f` equal reports. So the reply is
+            // missing only when the register has shut down (the slot is
+            // empty; `recv` then reports the disconnect). Waking the host
+            // and waiting keeps the call live even so.
+            (self.wake)();
+            reply.recv()
+        })
     }
 }
 
-impl<V> std::fmt::Debug for MpClient<V> {
+impl<V: Value> std::fmt::Debug for MpClient<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "MpClient({})", self.pid)
     }
@@ -918,9 +1075,9 @@ mod tests {
 
     #[test]
     fn group_dispatches_amortize_across_members() {
-        // Burst-wake many members of one group: the dedup flags collapse
-        // the wake storm into far fewer host-task dispatches than the
-        // one-task-per-register design would need (one per member write).
+        // Burst many concurrent writes at the members of one group: every
+        // client drains its own register, so the group's host task is
+        // never dispatched at all.
         let reactor = Arc::new(Reactor::new(1));
         let group = RegisterGroup::new(&reactor);
         let regs: Vec<MpRegister<u32>> =
@@ -937,10 +1094,10 @@ mod tests {
             }
         });
         let spent = reactor.dispatches() - before;
-        assert!(
-            spent < 16 * 4,
-            "16 concurrent grouped writes took {spent} dispatches; wake coalescing \
-             should keep this well under a per-register task design"
+        assert_eq!(
+            spent, 0,
+            "16 concurrent grouped writes took {spent} dispatches; each client drains \
+             its own register, so the host task is never needed"
         );
         for (i, reg) in regs.iter().enumerate() {
             assert_eq!(reg.client(ProcessId::new(3)).read(), (1, i as u32 + 1));
@@ -963,6 +1120,158 @@ mod tests {
         assert_eq!(b.client(ProcessId::new(2)).read(), (1, 9), "b survives a's shutdown");
         b.shutdown();
         reactor.shutdown();
+    }
+
+    /// Correct nodes' retirement state: `(per-write entries, watermark)`
+    /// of each correct node.
+    fn retirement(reg: &MpRegister<u32>) -> Vec<(usize, u64)> {
+        let slot = reg.slot.lock();
+        let task = slot.as_ref().expect("live register");
+        task.nodes.iter().flatten().map(|node| (node.writes.len(), node.retired_to)).collect()
+    }
+
+    #[test]
+    fn per_write_state_stays_bounded_over_ten_thousand_writes() {
+        let mut config = MpConfig::new(4);
+        config.byzantine = vec![ProcessId::new(4)];
+        let reg = MpRegister::spawn(&config, 0u32);
+        let w = reg.client(ProcessId::new(1));
+        let r = reg.client(ProcessId::new(2));
+        const WRITES: u32 = 10_000;
+        for i in 1..=WRITES {
+            w.write(i);
+            assert_eq!(r.read(), (u64::from(i), i));
+        }
+        for (entries, watermark) in retirement(&reg) {
+            assert_eq!(entries, 0, "every write retired");
+            assert_eq!(watermark, u64::from(WRITES), "the watermark covers every write");
+        }
+        let slot = reg.slot.lock();
+        for node in slot.as_ref().unwrap().nodes.iter().flatten() {
+            assert!(node.retired_above.is_empty(), "nothing retired out of order");
+            assert!(node.pending_readers.is_empty(), "every reader deregistered");
+        }
+        drop(slot);
+        assert_eq!(reg.net.queued_for(ProcessId::new(4)), 0, "nobody reads p4: nothing queued");
+        reg.shutdown();
+    }
+
+    #[test]
+    fn retired_writes_ignore_byzantine_echoes_and_valids() {
+        let mut config = MpConfig::new(4);
+        config.byzantine = vec![ProcessId::new(4)];
+        let reg = MpRegister::spawn(&config, 0u32);
+        let byz = reg.byzantine_endpoint(ProcessId::new(4));
+        let w = reg.client(ProcessId::new(1));
+        let r = reg.client(ProcessId::new(2));
+        w.write(3);
+        w.write(5);
+        assert_eq!(retirement(&reg), vec![(0, 2); 3], "both writes retired");
+        // Lies about retired writes, with values nobody wrote, then one
+        // drain: no correct node may send anything in response.
+        for sn in [1, 2] {
+            byz.broadcast(Msg::Echo { sn, v: 66 });
+            byz.broadcast(Msg::Valid { sn, v: 66 });
+        }
+        let sent = reg.net.sent();
+        drain(&reg.slot);
+        assert_eq!(reg.net.sent(), sent, "no new echo or validation for a retired write");
+        assert_eq!(retirement(&reg), vec![(0, 2); 3], "retired writes keep no state");
+        assert_eq!(r.read(), (2, 5), "reads still return the genuine value");
+        reg.shutdown();
+    }
+
+    #[test]
+    fn taken_byzantine_endpoint_receives_traffic_sent_after_the_take() {
+        let mut config = MpConfig::new(4);
+        config.byzantine = vec![ProcessId::new(4)];
+        let reg = MpRegister::spawn(&config, 0u32);
+        let w = reg.client(ProcessId::new(1));
+        w.write(7);
+        assert_eq!(reg.net.queued_for(ProcessId::new(4)), 0, "dropped before the take");
+        let byz = reg.byzantine_endpoint(ProcessId::new(4));
+        w.write(8);
+        let mut got = Vec::new();
+        while let Some((_, msg)) = byz.recv_timeout(Duration::from_millis(20)) {
+            got.push(msg);
+        }
+        assert!(got.contains(&Msg::Write { sn: 2, v: 8 }), "the write after the take arrives");
+        assert!(got.contains(&Msg::Echo { sn: 2, v: 8 }));
+        assert!(
+            got.iter().all(|m| !matches!(m, Msg::Write { sn: 1, .. } | Msg::Echo { sn: 1, .. })),
+            "traffic from before the take is gone: {got:?}"
+        );
+        reg.shutdown();
+    }
+
+    #[test]
+    fn clients_drain_grouped_registers_without_reactor_dispatches() {
+        let reactor = Arc::new(Reactor::new(1));
+        let group = RegisterGroup::new(&reactor);
+        let regs: Vec<MpRegister<u32>> =
+            (0..4).map(|_| MpRegister::spawn_in_group(&group, &MpConfig::new(4), 0)).collect();
+        let before = reactor.dispatches();
+        std::thread::scope(|s| {
+            for reg in &regs {
+                let w = reg.client(ProcessId::new(1));
+                s.spawn(move || {
+                    for i in 1..=50u32 {
+                        w.write(i);
+                    }
+                });
+                for pid in 2..=4 {
+                    let r = reg.client(ProcessId::new(pid));
+                    s.spawn(move || {
+                        let mut last = 0;
+                        for _ in 0..50 {
+                            let (ts, v) = r.read();
+                            assert!(ts >= last, "reads are monotone");
+                            assert_eq!(u64::from(v), ts, "value {v} belongs to write {ts}");
+                            last = ts;
+                        }
+                    });
+                }
+            }
+        });
+        assert_eq!(reactor.dispatches(), before, "no Byzantine traffic: the reactor never runs");
+        for reg in &regs {
+            assert_eq!(reg.client(ProcessId::new(2)).read(), (50, 50));
+            reg.shutdown();
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn eight_threads_share_one_register_consistently() {
+        // Two writer threads as p1 and six readers as p2..p4, 1000 mixed
+        // operations each, all draining the same register. Every read is
+        // monotone per thread and every timestamp names one value.
+        let reg = MpRegister::spawn(&MpConfig::new(4), 0u32);
+        const OPS: u32 = 1000;
+        let seen: parking_lot::Mutex<HashMap<u64, u32>> = parking_lot::Mutex::new(HashMap::new());
+        std::thread::scope(|s| {
+            for t in 0..8u32 {
+                let client = reg.client(ProcessId::new(if t < 2 { 1 } else { 2 + t as usize % 3 }));
+                let seen = &seen;
+                s.spawn(move || {
+                    let mut last = 0;
+                    for i in 0..OPS {
+                        if t < 2 && i % 2 == 0 {
+                            client.write(t * OPS + i + 1);
+                            continue;
+                        }
+                        let (ts, v) = client.read();
+                        assert!(ts >= last, "thread {t}: read went back from {last} to {ts}");
+                        last = ts;
+                        let named = *seen.lock().entry(ts).or_insert(v);
+                        assert_eq!(named, v, "timestamp {ts} read as two values");
+                    }
+                });
+            }
+        });
+        let (ts, _) = reg.client(ProcessId::new(3)).read();
+        assert_eq!(ts, u64::from(OPS), "every write took one sequence number");
+        reg.shutdown();
     }
 
     /// One seeded run of a fixed command sequence: returns the read results
