@@ -171,15 +171,12 @@ mod tests {
             .build();
         let neb = NonEquivocatingBroadcast::<u32>::install(&system);
         let ports = neb.attack_ports(ProcessId::new(1));
-        let shared = ports.shared.clone();
         let mut flip = 0u32;
         system.spawn_byzantine(ProcessId::new(1), move || {
             flip += 1;
             ports.echo.write(Some(if flip % 2 == 0 { 10 } else { 20 }));
-            for (k, rep) in ports.replies.iter().enumerate() {
-                let c = shared.askers[k].read();
-                rep.write((Some(if flip % 2 == 0 { 20 } else { 10 }), c));
-            }
+            let reply = Some(if flip % 2 == 0 { 20 } else { 10 });
+            ports.fabric.reply_all(&ports.shared.fabric, &reply);
             flip < 50_000
         });
         let mut e2 = neb.endpoint(ProcessId::new(2));

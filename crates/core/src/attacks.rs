@@ -21,7 +21,7 @@ use byzreg_runtime::ByzantineBehavior;
 pub mod verifiable {
     use std::collections::BTreeSet;
 
-    use byzreg_runtime::{ReadPort, Value};
+    use byzreg_runtime::Value;
 
     use super::ByzantineBehavior;
     use crate::verifiable::AttackPorts;
@@ -62,7 +62,7 @@ pub mod verifiable {
                 }
                 _ => {
                     // Keep answering askers with empty witness sets ("No").
-                    reply_all(&ports, &BTreeSet::new());
+                    ports.fabric.reply_all(&ports.shared.fabric, &BTreeSet::new());
                     step < 100_000
                 }
             }
@@ -74,10 +74,10 @@ pub mod verifiable {
     /// §5.1 that the `set0`-reset mechanism defuses.
     pub fn vote_flipper<V: Value>(ports: AttackPorts<V>, value: V) -> impl ByzantineBehavior {
         let mut flip = false;
-        let mut last_seen: Vec<u64> = vec![0; ports.replies.len()];
+        let mut last_seen: Vec<u64> = vec![0; ports.fabric.replies.len()];
         move || {
-            for (k, rep) in ports.replies.iter().enumerate() {
-                let ck = ports.shared.askers[k].read();
+            for (k, rep) in ports.fabric.replies.iter().enumerate() {
+                let ck = ports.shared.fabric.askers[k].read();
                 if ck > last_seen[k] {
                     flip = !flip;
                     let set: BTreeSet<V> = if flip {
@@ -100,7 +100,7 @@ pub mod verifiable {
         move || {
             let set: BTreeSet<V> = std::iter::once(forged.clone()).collect();
             ports.witness.write(set.clone());
-            reply_all(&ports, &set);
+            ports.fabric.reply_all(&ports.shared.fabric, &set);
             true
         }
     }
@@ -108,14 +108,6 @@ pub mod verifiable {
     /// A crashed process: takes no further steps.
     pub fn silent<V: Value>(_ports: AttackPorts<V>) -> impl ByzantineBehavior {
         || false
-    }
-
-    fn reply_all<V: Value>(ports: &AttackPorts<V>, set: &BTreeSet<V>) {
-        let askers: Vec<ReadPort<u64>> = ports.shared.askers.clone();
-        for (k, rep) in ports.replies.iter().enumerate() {
-            let ck = askers[k].read();
-            rep.write((set.clone(), ck));
-        }
     }
 }
 
@@ -179,10 +171,7 @@ pub mod authenticated {
             if let Some(witness) = &ports.witness {
                 let set: BTreeSet<V> = std::iter::once(forged.clone()).collect();
                 witness.write(set.clone());
-                for (k, rep) in ports.replies.iter().enumerate() {
-                    let ck = ports.shared.askers[k].read();
-                    rep.write((set.clone(), ck));
-                }
+                ports.fabric.reply_all(&ports.shared.fabric, &set);
             }
             true
         }
@@ -208,10 +197,7 @@ pub mod sticky {
             if step % 3 == 0 {
                 ports.witness.write(Some(v.clone()));
             }
-            for (k, rep) in ports.replies.iter().enumerate() {
-                let ck = ports.shared.askers[k].read();
-                rep.write((Some(v.clone()), ck));
-            }
+            ports.fabric.reply_all(&ports.shared.fabric, &Some(v));
             step < 100_000
         }
     }
@@ -221,10 +207,7 @@ pub mod sticky {
     pub fn bottom_pusher<V: Value>(ports: AttackPorts<V>) -> impl ByzantineBehavior {
         move || {
             ports.witness.write(None);
-            for (k, rep) in ports.replies.iter().enumerate() {
-                let ck = ports.shared.askers[k].read();
-                rep.write((None::<V>, ck));
-            }
+            ports.fabric.reply_all(&ports.shared.fabric, &None);
             true
         }
     }

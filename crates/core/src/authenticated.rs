@@ -42,13 +42,14 @@
 use std::collections::BTreeSet;
 
 use byzreg_runtime::{
-    Env, HelpDemand, HelpShard, HistoryLog, LocalFactory, ProcessId, ReadPort, RegisterFactory,
-    Result, Roles, System, Value, WritePort,
+    Env, HelpShard, HistoryLog, LocalFactory, ProcessId, ReadPort, RegisterFactory, Result, Roles,
+    System, Value, WritePort,
 };
 use byzreg_spec::registers::{AuthInv, AuthResp};
 
 use crate::quorum::{
-    verify_groups, witness_update, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
+    verify_groups, witness_update, AskerTracker, EngineParts, FabricPorts, FabricView, Instance,
+    QuorumFabric, Reply,
 };
 
 /// A process's witness set (content of `R_j`, `j ≠ 1`).
@@ -92,34 +93,14 @@ impl<V: Value> WriterRecord<V> {
 
 /// Read-only views of every shared register of one authenticated-register
 /// instance.
+#[derive(Clone)]
 pub struct SharedPorts<V: Ord> {
     /// `R1` — the writer's timestamped-value set.
     pub r1: ReadPort<WriterRecord<V>>,
     /// `R_k` for readers `p2..=pn` (index `pid - 2`); witness sets.
     pub witness: Vec<ReadPort<WitnessSet<V>>>,
-    /// `R_{j,k}` reply registers: `replies[j][k]`, `j` 0-based over all
-    /// processes, `k` 0-based over readers.
-    pub replies: Vec<Vec<ReadPort<Reply<V>>>>,
-    /// `C_k` for readers (index `pid - 2`).
-    pub askers: Vec<ReadPort<u64>>,
-}
-
-impl<V: Ord> Clone for SharedPorts<V> {
-    fn clone(&self) -> Self {
-        SharedPorts {
-            r1: self.r1.clone(),
-            witness: self.witness.clone(),
-            replies: self.replies.clone(),
-            askers: self.askers.clone(),
-        }
-    }
-}
-
-impl<V: Value> SharedPorts<V> {
-    fn reply_column(&self, reader_role: usize) -> Vec<ReadPort<Reply<V>>> {
-        let k = reader_role - 2;
-        self.replies.iter().map(|row| row[k].clone()).collect()
-    }
+    /// The reply registers `R_{j,k}` and asker counters `C_k`.
+    pub fabric: FabricView<WitnessSet<V>>,
 }
 
 /// Write ports owned by one process, handed to a Byzantine adversary.
@@ -130,31 +111,21 @@ pub struct AttackPorts<V: Ord> {
     pub r1: Option<WritePort<WriterRecord<V>>>,
     /// `R_pid` — only for readers.
     pub witness: Option<WritePort<WitnessSet<V>>>,
-    /// `R_{pid,k}` for every reader `k`.
-    pub replies: Vec<WritePort<Reply<V>>>,
-    /// `C_pid` — only for readers.
-    pub asker: Option<WritePort<u64>>,
+    /// The process's reply row `R_{pid,k}` and, for a reader, `C_pid`.
+    pub fabric: FabricPorts<WitnessSet<V>>,
     /// Read access to everything.
     pub shared: SharedPorts<V>,
 }
 
-struct ProcessPorts<V: Ord> {
-    r1_w: Option<WritePort<WriterRecord<V>>>,
-    witness_w: Option<WritePort<WitnessSet<V>>>,
-    replies_w: Vec<WritePort<Reply<V>>>,
-    asker_w: Option<WritePort<u64>>,
-}
+/// One process's write ports besides the fabric: `R1` for the writer, `R_k`
+/// for a reader.
+type Own<V> = (Option<WritePort<WriterRecord<V>>>, Option<WritePort<WitnessSet<V>>>);
 
 /// One installed authenticated-register instance (Algorithm 2).
 pub struct AuthenticatedRegister<V: Ord> {
-    env: Env,
-    roles: Roles,
+    core: Instance<WitnessSet<V>, Own<V>>,
     v0: V,
     shared: SharedPorts<V>,
-    endpoints: Endpoints<ProcessPorts<V>>,
-    /// The demand handle of the instance's help shard; reader handles'
-    /// quorum runs begin it (see [`crate::quorum::quorum_groups`]).
-    demand: HelpDemand,
     /// The operation log every handle records into; off for trait-path
     /// installs (see `api::SignatureRegister::install_in_shard`).
     pub(crate) log: HistoryLog<AuthInv<V>, AuthResp<V>>,
@@ -213,7 +184,7 @@ impl<V: Value> AuthenticatedRegister<V> {
         Self::install_impl(system, v0, factory, roles, shard)
     }
 
-    fn install_impl<F: RegisterFactory>(
+    pub(crate) fn install_impl<F: RegisterFactory>(
         system: &System,
         v0: V,
         factory: &F,
@@ -227,69 +198,44 @@ impl<V: Value> AuthenticatedRegister<V> {
         // R1: writer's tuple set; initially {⟨0, v0⟩} (line "shared registers").
         let mut init = BTreeSet::new();
         init.insert((0u64, v0.clone()));
-        let (r1_w, r1_r) =
+        let (r1_w, r1) =
             factory.create(&env, roles.actual(1), "R1".into(), WriterRecord::Tuples(init));
 
         // R_k for readers: witness sets; initially {v0}.
         let mut witness_w = Vec::with_capacity(n - 1);
-        let mut witness_r = Vec::with_capacity(n - 1);
+        let mut witness = Vec::with_capacity(n - 1);
         for k in 2..=n {
             let mut set = WitnessSet::new();
             set.insert(v0.clone());
             let (w, r) = factory.create(&env, roles.actual(k), format!("R[{k}]"), set);
             witness_w.push(w);
-            witness_r.push(r);
+            witness.push(r);
         }
 
         // R_{j,k} reply registers (initially ⟨∅, 0⟩) and C_k round counters:
         // the shared quorum fabric of §5.1.
-        let fabric = QuorumFabric::install(&env, factory, &roles, WitnessSet::<V>::new());
+        let QuorumFabric { view, ports } =
+            QuorumFabric::install(&env, factory, &roles, WitnessSet::<V>::new());
+        let shared = SharedPorts { r1, witness, fabric: view };
 
-        let shared = SharedPorts {
-            r1: r1_r,
-            witness: witness_r,
-            replies: fabric.reply_matrix(),
-            askers: fabric.asker_ports(),
-        };
-
-        let demand = shard.new_demand();
-        for j in 1..=n {
-            let task = HelpTask2 {
-                env: env.clone(),
-                j,
-                shared: shared.clone(),
-                witness_w: (j >= 2).then(|| witness_w[j - 2].clone()),
-                replies_w: fabric.reply_row(j),
-                tracker: AskerTracker::new(n - 1),
-            };
-            system.add_sharded_help_task(shard, roles.actual(j), &demand, Box::new(task));
-        }
-
-        let mut endpoints = Vec::with_capacity(n);
-        for j in 1..=n {
-            endpoints.push(ProcessPorts {
-                r1_w: (j == 1).then(|| r1_w.clone()),
-                witness_w: (j >= 2).then(|| witness_w[j - 2].clone()),
-                replies_w: fabric.reply_row(j),
-                asker_w: fabric.asker_port(j),
-            });
-        }
-
-        AuthenticatedRegister {
+        let own = std::iter::once((Some(r1_w), None))
+            .chain(witness_w.into_iter().map(|w| (None, Some(w))))
+            .collect();
+        let core = Instance::new(system, roles, shard, own, ports, |j, own, replies_w| HelpTask2 {
             env: env.clone(),
-            roles,
-            v0,
-            shared,
-            endpoints: Endpoints::new(endpoints),
-            demand,
-            log: HistoryLog::new(env.clock()),
-        }
+            j,
+            shared: shared.clone(),
+            witness_w: own.1.clone(),
+            replies_w,
+            tracker: AskerTracker::new(n - 1),
+        });
+        AuthenticatedRegister { core, v0, shared, log: HistoryLog::new(env.clock()) }
     }
 
     /// The process playing the writer role.
     #[must_use]
     pub fn writer_pid(&self) -> ProcessId {
-        self.roles.writer()
+        self.core.roles.writer()
     }
 
     /// The initial value `v0`.
@@ -303,16 +249,6 @@ impl<V: Value> AuthenticatedRegister<V> {
         self.log.clone()
     }
 
-    /// Read-only views of the shared registers.
-    #[must_use]
-    pub fn shared(&self) -> SharedPorts<V> {
-        self.shared.clone()
-    }
-
-    fn take_ports(&self, role: usize) -> ProcessPorts<V> {
-        self.endpoints.take(role)
-    }
-
     /// The unique writer handle.
     ///
     /// # Panics
@@ -320,13 +256,11 @@ impl<V: Value> AuthenticatedRegister<V> {
     /// Panics if taken twice or if the writer is declared Byzantine.
     #[must_use]
     pub fn writer(&self) -> AuthenticatedWriter<V> {
-        let pid = self.roles.writer();
-        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
-        let ports = self.take_ports(1);
+        let (pid, (r1_w, _)) = self.core.writer();
         AuthenticatedWriter {
-            env: self.env.clone(),
+            env: self.core.env.clone(),
             pid,
-            r1_w: ports.r1_w.expect("writer ports"),
+            r1_w: r1_w.expect("writer ports"),
             seq: 0,
             log: self.log.clone(),
         }
@@ -339,19 +273,11 @@ impl<V: Value> AuthenticatedRegister<V> {
     /// Panics if `pid` is the writer, taken twice, or declared Byzantine.
     #[must_use]
     pub fn reader(&self, pid: ProcessId) -> AuthenticatedReader<V> {
-        let role = self.roles.role_of(pid);
-        assert!(role != 1, "{pid} is the writer, not a reader");
-        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
-        let ports = self.take_ports(role);
         AuthenticatedReader {
-            env: self.env.clone(),
+            env: self.core.env.clone(),
             pid,
             v0: self.v0.clone(),
-            parts: EngineParts {
-                ck: ports.asker_w.expect("reader ports"),
-                replies: self.shared.reply_column(role),
-                demand: self.demand.clone(),
-            },
+            parts: self.core.reader(pid, &self.shared.fabric),
             r1: self.shared.r1.clone(),
             log: self.log.clone(),
         }
@@ -364,27 +290,16 @@ impl<V: Value> AuthenticatedRegister<V> {
     /// Panics if `pid` is correct or already taken.
     #[must_use]
     pub fn attack_ports(&self, pid: ProcessId) -> AttackPorts<V> {
-        assert!(
-            self.env.is_faulty(pid),
-            "{pid} is correct; only declared-Byzantine processes get attack ports"
-        );
-        let ports = self.take_ports(self.roles.role_of(pid));
-        AttackPorts {
-            pid,
-            r1: ports.r1_w,
-            witness: ports.witness_w,
-            replies: ports.replies_w,
-            asker: ports.asker_w,
-            shared: self.shared.clone(),
-        }
+        let ((r1, witness), fabric) = self.core.attacker(pid);
+        AttackPorts { pid, r1, witness, fabric, shared: self.shared.clone() }
     }
 }
 
 impl<V: Value> std::fmt::Debug for AuthenticatedRegister<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuthenticatedRegister")
-            .field("n", &self.env.n())
-            .field("f", &self.env.f())
+            .field("n", &self.core.env.n())
+            .field("f", &self.core.env.f())
             .field("v0", &self.v0)
             .finish()
     }
@@ -548,7 +463,7 @@ struct HelpTask2<V: Value> {
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
     fn tick(&mut self) {
         // Lines 26-27: sample C_k, compute askers.
-        let (ck, askers) = self.tracker.poll(&self.shared.askers);
+        let (ck, askers) = self.tracker.poll(&self.shared.fabric.askers);
         if askers.is_empty() {
             return; // line 28
         }
@@ -724,25 +639,20 @@ mod tests {
             .unzip();
         let fabric =
             QuorumFabric::install(env, &LocalFactory, &Roles::identity(4), BTreeSet::new());
-        let shared = SharedPorts {
-            r1,
-            witness,
-            replies: fabric.reply_matrix(),
-            askers: fabric.asker_ports(),
-        };
+        let shared = SharedPorts { r1, witness, fabric: fabric.view.clone() };
         let mut task = HelpTask2 {
             env: env.clone(),
             j: 3,
             shared: shared.clone(),
             witness_w: Some(witness_w[1].clone()),
-            replies_w: fabric.reply_row(3),
+            replies_w: fabric.ports[2].replies.clone(),
             tracker: AskerTracker::new(3),
         };
-        fabric.asker_port(2).unwrap().write(1);
+        fabric.ports[1].asker.as_ref().unwrap().write(1);
         let before = env.gate().steps();
         env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
         let steps = env.gate().steps() - before;
-        (steps, shared.witness[1].read(), shared.replies[2][0].read())
+        (steps, shared.witness[1].read(), shared.fabric.replies[2][0].read())
     }
 
     #[test]

@@ -39,8 +39,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Thresholds are written exactly as in the paper (`>= f + 1`, `>= n - f`).
-#![allow(clippy::int_plus_one)]
 #![warn(missing_docs)]
 
 pub mod api;
@@ -50,6 +48,9 @@ pub mod quorum;
 pub mod sticky;
 pub mod test_or_set;
 pub mod verifiable;
+
+#[cfg(test)]
+mod tests;
 
 pub use api::{Family, SignatureRegister, SignatureSigner, SignatureVerifier};
 pub use authenticated::{AuthenticatedReader, AuthenticatedRegister, AuthenticatedWriter};

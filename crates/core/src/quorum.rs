@@ -4,7 +4,9 @@
 //!
 //! * a matrix of SWSR *reply* registers `R_{j,k}` (helper `p_j` → asker
 //!   `p_k`) and per-reader *asker* round counters `C_k` — installed by
-//!   [`QuorumFabric`];
+//!   [`QuorumFabric`], read through a [`FabricView`] and written through
+//!   each process's [`FabricPorts`]; a per-instance skeleton hands every
+//!   role its ports under the handle rules all three families share;
 //! * the `set0`/`set1` voting loop a reader runs over its reply column —
 //!   the one engine [`quorum_groups`], instantiated as [`verify_groups`]
 //!   by every `Verify(−)` of Algorithms 1–2 (single, batched, and fused
@@ -21,8 +23,8 @@
 use std::collections::BTreeSet;
 
 use byzreg_runtime::{
-    Env, HelpDemand, HelpDemandGuard, ProcessId, ReadPort, RegisterFactory, Result, Roles, Value,
-    WritePort,
+    Env, HelpDemand, HelpDemandGuard, HelpShard, HelpTask, ProcessId, ReadPort, RegisterFactory,
+    Result, Roles, System, Value, WritePort,
 };
 
 use parking_lot::Mutex;
@@ -346,103 +348,172 @@ pub(crate) fn witness_update<V: Value>(
     })
 }
 
+/// The read side of one instance's §5.1 fabric: the reply matrix and the
+/// asker counters. Everyone (adversaries included) may hold it; every
+/// family's `SharedPorts` embeds one.
+#[derive(Clone)]
+pub struct FabricView<W> {
+    /// `R_{j,k}`: `replies[j][k]` is role `j + 1`'s register for reader
+    /// role `k + 2`.
+    pub replies: Vec<Vec<ReadPort<Tagged<W>>>>,
+    /// `C_k` for reader roles `2..=n` (index `role - 2`).
+    pub askers: Vec<ReadPort<u64>>,
+}
+
+impl<W> FabricView<W> {
+    /// Reader `role`'s reply column (`R_{j,role}` for every `j`): the
+    /// registers its quorum loop reads.
+    #[must_use]
+    pub(crate) fn reply_column(&self, role: usize) -> Vec<ReadPort<Tagged<W>>> {
+        self.replies.iter().map(|row| row[role - 2].clone()).collect()
+    }
+}
+
+/// The fabric write ports one process owns: its reply row and, for a
+/// reader, its asker counter.
+pub struct FabricPorts<W> {
+    /// `R_{j,k}` of this process's role `j`, for every reader role `k`
+    /// (index `k - 2`).
+    pub replies: Vec<WritePort<Tagged<W>>>,
+    /// `C_j` — present only for readers.
+    pub asker: Option<WritePort<u64>>,
+}
+
+impl<W: Value> FabricPorts<W> {
+    /// Answers every reader's current asker round with `w`: for each reader
+    /// `k`, reads `C_k` and writes `⟨w, C_k⟩` into `R_{j,k}`.
+    pub fn reply_all(&self, view: &FabricView<W>, w: &W) {
+        for (reply, ck) in self.replies.iter().zip(&view.askers) {
+            reply.write((w.clone(), ck.read()));
+        }
+    }
+}
+
 /// The reply-and-asker register fabric every register family installs: the
 /// SWSR reply matrix `R_{j,k}` (initially `⟨init, 0⟩`) and the reader round
 /// counters `C_k` (initially 0), with owners assigned through `roles`.
-pub struct QuorumFabric<W: Value> {
-    reply_w: Vec<Vec<WritePort<Tagged<W>>>>,
-    reply_r: Vec<Vec<ReadPort<Tagged<W>>>>,
-    asker_w: Vec<WritePort<u64>>,
-    asker_r: Vec<ReadPort<u64>>,
+pub struct QuorumFabric<W> {
+    /// The read side.
+    pub view: FabricView<W>,
+    /// Each role's write side (index `role - 1`).
+    pub ports: Vec<FabricPorts<W>>,
 }
 
 impl<W: Value> QuorumFabric<W> {
     /// Installs the fabric for the `roles.n()` processes of `env`, sourcing
-    /// base registers from `factory`.
+    /// base registers from `factory`: every `R_{j,k}` row by row, then every
+    /// `C_k`.
     pub fn install<F: RegisterFactory>(env: &Env, factory: &F, roles: &Roles, init: W) -> Self {
         let n = roles.n();
-        let mut reply_w = Vec::with_capacity(n);
-        let mut reply_r = Vec::with_capacity(n);
+        let mut replies = Vec::with_capacity(n);
+        let mut ports = Vec::with_capacity(n);
         for j in 1..=n {
-            let mut row_w = Vec::with_capacity(n - 1);
-            let mut row_r = Vec::with_capacity(n - 1);
-            for k in 2..=n {
-                let (w, r) = factory.create(
-                    env,
-                    roles.actual(j),
-                    format!("R[{j},{k}]"),
-                    (init.clone(), 0u64),
-                );
-                row_w.push(w);
-                row_r.push(r);
-            }
-            reply_w.push(row_w);
-            reply_r.push(row_r);
+            let (row_w, row_r) = (2..=n)
+                .map(|k| {
+                    let name = format!("R[{j},{k}]");
+                    factory.create(env, roles.actual(j), name, (init.clone(), 0u64))
+                })
+                .unzip();
+            replies.push(row_r);
+            ports.push(FabricPorts { replies: row_w, asker: None });
         }
-        let mut asker_w = Vec::with_capacity(n - 1);
-        let mut asker_r = Vec::with_capacity(n - 1);
-        for k in 2..=n {
-            let (w, r) = factory.create(env, roles.actual(k), format!("C[{k}]"), 0u64);
-            asker_w.push(w);
-            asker_r.push(r);
+        let (asker_w, askers): (Vec<_>, _) =
+            (2..=n).map(|k| factory.create(env, roles.actual(k), format!("C[{k}]"), 0u64)).unzip();
+        for (port, c) in ports[1..].iter_mut().zip(asker_w) {
+            port.asker = Some(c);
         }
-        QuorumFabric { reply_w, reply_r, asker_w, asker_r }
-    }
-
-    /// The full reply matrix, read side (`[j][k]`, both 0-based).
-    #[must_use]
-    pub fn reply_matrix(&self) -> Vec<Vec<ReadPort<Tagged<W>>>> {
-        self.reply_r.clone()
-    }
-
-    /// The asker counters, read side (index `role - 2`).
-    #[must_use]
-    pub fn asker_ports(&self) -> Vec<ReadPort<u64>> {
-        self.asker_r.clone()
-    }
-
-    /// Helper `role`'s row of reply write ports (`R_{role,k}` for all `k`).
-    #[must_use]
-    pub fn reply_row(&self, role: usize) -> Vec<WritePort<Tagged<W>>> {
-        self.reply_w[role - 1].clone()
-    }
-
-    /// Reader `role`'s asker write port (`C_role`); `None` for the writer.
-    #[must_use]
-    pub fn asker_port(&self, role: usize) -> Option<WritePort<u64>> {
-        (role >= 2).then(|| self.asker_w[role - 2].clone())
+        QuorumFabric { view: FabricView { replies, askers }, ports }
     }
 }
 
-/// One-shot per-process port bundles with the "taken at most once" rule all
-/// register families enforce on their writer/reader/attack handles.
-pub(crate) struct Endpoints<P>(Mutex<Vec<Option<P>>>);
+/// The instance skeleton all three register families share: the
+/// instance's environment, role mapping and help-shard demand, and every
+/// role's take-once ports — the family's own write ports `P` beside the
+/// role's [`FabricPorts`]. Its takes carry the handle rules: one writer
+/// handle, one handle per reader, handles only for correct processes and
+/// attack ports only for declared-Byzantine ones.
+pub(crate) struct Instance<W, P> {
+    pub(crate) env: Env,
+    pub(crate) roles: Roles,
+    /// The demand handle of the instance's help shard; reader handles'
+    /// quorum runs begin it (see [`quorum_groups`]).
+    pub(crate) demand: HelpDemand,
+    /// Every role's ports (index `role - 1`), each taken at most once.
+    ports: Mutex<Vec<Option<RolePorts<W, P>>>>,
+}
 
-impl<P> Endpoints<P> {
-    pub(crate) fn new(ports: Vec<P>) -> Self {
-        Endpoints(Mutex::new(ports.into_iter().map(Some).collect()))
+/// All ports one role owns: the family's own, then the fabric's.
+type RolePorts<W, P> = (P, FabricPorts<W>);
+
+impl<W: Value, P> Instance<W, P> {
+    /// Attaches `help(role, own, reply_row)` as the `Help()` task of every
+    /// role's process on `shard` (the system drops the tasks of
+    /// declared-Byzantine processes), then keeps the ports for the handles.
+    /// `own[role - 1]` and `fabric[role - 1]` hold the family's and the
+    /// fabric's write ports of `role` ([`QuorumFabric::ports`]).
+    pub(crate) fn new<T: HelpTask>(
+        system: &System,
+        roles: Roles,
+        shard: &HelpShard,
+        own: Vec<P>,
+        fabric: Vec<FabricPorts<W>>,
+        mut help: impl FnMut(usize, &P, Vec<WritePort<Tagged<W>>>) -> T,
+    ) -> Self {
+        let demand = shard.new_demand();
+        for (role, (own, fabric)) in (1..).zip(own.iter().zip(&fabric)) {
+            let task = help(role, own, fabric.replies.clone());
+            system.add_sharded_help_task(shard, roles.actual(role), &demand, Box::new(task));
+        }
+        let ports = own.into_iter().zip(fabric).map(Some).collect();
+        Instance { env: system.env().clone(), roles, demand, ports: Mutex::new(ports) }
     }
 
-    /// Takes role `role`'s bundle.
+    fn take(&self, role: usize) -> RolePorts<W, P> {
+        let taken = self.ports.lock()[role - 1].take();
+        taken.unwrap_or_else(|| panic!("ports of {} already taken", self.roles.actual(role)))
+    }
+
+    /// The writer's pid and own ports, for its handle.
     ///
     /// # Panics
     ///
-    /// Panics if the bundle was taken before.
-    pub(crate) fn take(&self, role: usize) -> P {
-        self.0.lock()[role - 1]
-            .take()
-            .unwrap_or_else(|| panic!("ports of role {role} already taken"))
+    /// Panics if the writer is declared Byzantine or was taken before.
+    pub(crate) fn writer(&self) -> (ProcessId, P) {
+        let pid = self.roles.writer();
+        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
+        (pid, self.take(1).0)
     }
 
-    /// Takes the bundle of the process with the given pid-shaped message.
+    /// Reader `pid`'s §5.1 engine handles, reading its column of `view`
+    /// (the instance's [`QuorumFabric::view`]).
     ///
     /// # Panics
     ///
-    /// Panics if the bundle was taken before.
-    pub(crate) fn take_pid(&self, pid: ProcessId) -> P {
-        self.0.lock()[pid.zero_based()]
-            .take()
-            .unwrap_or_else(|| panic!("ports of {pid} already taken"))
+    /// Panics if `pid` is the writer, is declared Byzantine, or was taken
+    /// before.
+    pub(crate) fn reader(&self, pid: ProcessId, view: &FabricView<W>) -> EngineParts<W> {
+        let role = self.roles.role_of(pid);
+        assert!(role != 1, "{pid} is the writer, not a reader");
+        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
+        let (_, fabric) = self.take(role);
+        EngineParts {
+            ck: fabric.asker.expect("reader ports"),
+            replies: view.reply_column(role),
+            demand: self.demand.clone(),
+        }
+    }
+
+    /// Every port a declared-Byzantine `pid` owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is correct or was taken before.
+    pub(crate) fn attacker(&self, pid: ProcessId) -> RolePorts<W, P> {
+        assert!(
+            self.env.is_faulty(pid),
+            "{pid} is correct; only declared-Byzantine processes get attack ports"
+        );
+        self.take(self.roles.role_of(pid))
     }
 }
 
@@ -640,30 +711,22 @@ mod tests {
     #[test]
     fn fabric_wires_owners_and_names() {
         let sys = System::builder(4).build();
-        let roles = Roles::identity(4);
+        let roles = Roles::with_writer(4, ProcessId::new(3));
         let fabric =
             QuorumFabric::install(sys.env(), &LocalFactory, &roles, BTreeSet::<u32>::new());
-        let matrix = fabric.reply_matrix();
-        assert_eq!(matrix.len(), 4);
-        assert_eq!(matrix[0].len(), 3);
-        assert_eq!(matrix[2][0].owner(), ProcessId::new(3));
-        assert_eq!(matrix[2][0].name(), "R[3,2]");
-        assert_eq!(fabric.asker_ports().len(), 3);
-        assert!(fabric.asker_port(1).is_none(), "the writer has no C_k");
-        let c3 = fabric.asker_port(3).unwrap();
-        assert_eq!(c3.owner(), ProcessId::new(3));
-        // Reply rows answer through the owning helper.
-        let row = fabric.reply_row(2);
-        assert_eq!(row.len(), 3);
-        row[1].write((BTreeSet::new(), 5));
-        assert_eq!(matrix[1][1].read().1, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "already taken")]
-    fn endpoints_enforce_single_take() {
-        let eps = Endpoints::new(vec![1, 2, 3]);
-        let _ = eps.take(2);
-        let _ = eps.take(2);
+        let view = &fabric.view;
+        assert_eq!((view.replies.len(), view.replies[0].len(), view.askers.len()), (4, 3, 3));
+        assert_eq!(view.replies[2][0].owner(), ProcessId::new(2), "role 3 is p2");
+        assert_eq!(view.replies[2][0].name(), "R[3,2]");
+        assert!(fabric.ports[0].asker.is_none(), "the writer has no C_k");
+        assert_eq!(fabric.ports[2].asker.as_ref().unwrap().owner(), ProcessId::new(2));
+        // A role's reply row feeds the matching entry of every reader's
+        // column, and `reply_all` answers each reader's current round.
+        fabric.ports[1].replies[1].write((BTreeSet::new(), 5));
+        assert_eq!(view.reply_column(3)[1].read().1, 5);
+        fabric.ports[2].asker.as_ref().unwrap().write(7);
+        fabric.ports[3].reply_all(view, &[1].into_iter().collect());
+        let col: Vec<u64> = (2..=4).map(|k| view.reply_column(k)[3].read().1).collect();
+        assert_eq!(col, vec![0, 7, 0]);
     }
 }

@@ -43,7 +43,8 @@ use byzreg_runtime::{
 use byzreg_spec::registers::{StickyInv, StickyResp};
 
 use crate::quorum::{
-    quorum_groups, AskerTracker, Ballot, Endpoints, EngineParts, QuorumFabric, Tagged,
+    quorum_groups, AskerTracker, Ballot, EngineParts, FabricPorts, FabricView, Instance,
+    QuorumFabric, Tagged,
 };
 
 /// `⊥`-able register content (`None` = `⊥`).
@@ -54,33 +55,14 @@ pub type Slot<V> = Option<V>;
 pub type Reply<V> = Tagged<Slot<V>>;
 
 /// Read-only views of every shared register of one sticky-register instance.
+#[derive(Clone)]
 pub struct SharedPorts<V> {
     /// `E_i` — echo registers, one per process (0-based).
     pub echo: Vec<ReadPort<Slot<V>>>,
     /// `R_i` — witness registers, one per process (0-based).
     pub witness: Vec<ReadPort<Slot<V>>>,
-    /// `R_{j,k}` reply registers: `replies[j][k]`, `k` 0-based over readers.
-    pub replies: Vec<Vec<ReadPort<Reply<V>>>>,
-    /// `C_k` for readers (index `pid - 2`).
-    pub askers: Vec<ReadPort<u64>>,
-}
-
-impl<V> Clone for SharedPorts<V> {
-    fn clone(&self) -> Self {
-        SharedPorts {
-            echo: self.echo.clone(),
-            witness: self.witness.clone(),
-            replies: self.replies.clone(),
-            askers: self.askers.clone(),
-        }
-    }
-}
-
-impl<V: Value> SharedPorts<V> {
-    fn reply_column(&self, reader_role: usize) -> Vec<ReadPort<Reply<V>>> {
-        let k = reader_role - 2;
-        self.replies.iter().map(|row| row[k].clone()).collect()
-    }
+    /// The reply registers `R_{j,k}` and asker counters `C_k`.
+    pub fabric: FabricView<Slot<V>>,
 }
 
 /// Write ports owned by one process, handed to a Byzantine adversary.
@@ -91,31 +73,22 @@ pub struct AttackPorts<V> {
     pub echo: WritePort<Slot<V>>,
     /// `R_pid` — the witness register.
     pub witness: WritePort<Slot<V>>,
-    /// `R_{pid,k}` for every reader `k`.
-    pub replies: Vec<WritePort<Reply<V>>>,
-    /// `C_pid` — only for readers.
-    pub asker: Option<WritePort<u64>>,
+    /// The process's reply row `R_{pid,k}` and, for a reader, `C_pid`.
+    pub fabric: FabricPorts<Slot<V>>,
     /// Read access to everything.
     pub shared: SharedPorts<V>,
 }
 
-struct ProcessPorts<V> {
-    echo_w: WritePort<Slot<V>>,
-    witness_w: WritePort<Slot<V>>,
-    replies_w: Vec<WritePort<Reply<V>>>,
-    asker_w: Option<WritePort<u64>>,
-}
+/// One process's write ports besides the fabric: `E_i` and `R_i`.
+type Own<V> = (WritePort<Slot<V>>, WritePort<Slot<V>>);
 
 /// One installed sticky-register instance (Algorithm 3).
 pub struct StickyRegister<V> {
-    env: Env,
-    roles: Roles,
+    /// Both handles use the instance's help-shard demand: the reader's
+    /// quorum `Read` *and* the writer's witness wait (lines 3–5) depend on
+    /// helpers running.
+    core: Instance<Slot<V>, Own<V>>,
     shared: SharedPorts<V>,
-    endpoints: Endpoints<ProcessPorts<V>>,
-    /// The demand handle of the instance's help shard. Both handles use
-    /// it: the reader's quorum `Read` *and* the writer's witness wait
-    /// (lines 3–5) depend on helpers running.
-    demand: HelpDemand,
     /// The operation log every handle records into; off for trait-path
     /// installs (see `api::SignatureRegister::install_in_shard`).
     pub(crate) log: HistoryLog<StickyInv<V>, StickyResp<V>>,
@@ -173,7 +146,7 @@ impl<V: Value> StickyRegister<V> {
         Self::install_impl(system, factory, roles, shard)
     }
 
-    fn install_impl<F: RegisterFactory>(
+    pub(crate) fn install_impl<F: RegisterFactory>(
         system: &System,
         factory: &F,
         roles: Roles,
@@ -184,83 +157,47 @@ impl<V: Value> StickyRegister<V> {
         let n = env.n();
 
         let mut echo_w = Vec::with_capacity(n);
-        let mut echo_r = Vec::with_capacity(n);
+        let mut echo = Vec::with_capacity(n);
         let mut witness_w = Vec::with_capacity(n);
-        let mut witness_r = Vec::with_capacity(n);
+        let mut witness = Vec::with_capacity(n);
         for i in 1..=n {
             let owner = roles.actual(i);
             let (w, r) = factory.create(&env, owner, format!("E[{i}]"), Slot::<V>::None);
             echo_w.push(w);
-            echo_r.push(r);
+            echo.push(r);
             let (w, r) = factory.create(&env, owner, format!("R[{i}]"), Slot::<V>::None);
             witness_w.push(w);
-            witness_r.push(r);
+            witness.push(r);
         }
 
         // R_{j,k} reply registers (initially ⟨⊥, 0⟩) and C_k round counters:
         // the shared quorum fabric of §5.1.
-        let fabric = QuorumFabric::install(&env, factory, &roles, Slot::<V>::None);
+        let QuorumFabric { view, ports } =
+            QuorumFabric::install(&env, factory, &roles, Slot::<V>::None);
+        let shared = SharedPorts { echo, witness, fabric: view };
 
-        let shared = SharedPorts {
-            echo: echo_r,
-            witness: witness_r,
-            replies: fabric.reply_matrix(),
-            askers: fabric.asker_ports(),
-        };
-
-        let demand = shard.new_demand();
-        for j in 1..=n {
-            let task = HelpTask3 {
-                env: env.clone(),
-                shared: shared.clone(),
-                echo_w: echo_w[j - 1].clone(),
-                witness_w: witness_w[j - 1].clone(),
-                replies_w: fabric.reply_row(j),
-                tracker: AskerTracker::new(n - 1),
-            };
-            system.add_sharded_help_task(shard, roles.actual(j), &demand, Box::new(task));
-        }
-
-        let mut endpoints = Vec::with_capacity(n);
-        for j in 1..=n {
-            endpoints.push(ProcessPorts {
-                echo_w: echo_w[j - 1].clone(),
-                witness_w: witness_w[j - 1].clone(),
-                replies_w: fabric.reply_row(j),
-                asker_w: fabric.asker_port(j),
-            });
-        }
-
-        StickyRegister {
+        let own = echo_w.into_iter().zip(witness_w).collect();
+        let core = Instance::new(system, roles, shard, own, ports, |_, own, replies_w| HelpTask3 {
             env: env.clone(),
-            roles,
-            shared,
-            endpoints: Endpoints::new(endpoints),
-            demand,
-            log: HistoryLog::new(env.clock()),
-        }
+            shared: shared.clone(),
+            echo_w: own.0.clone(),
+            witness_w: own.1.clone(),
+            replies_w,
+            tracker: AskerTracker::new(n - 1),
+        });
+        StickyRegister { core, shared, log: HistoryLog::new(env.clock()) }
     }
 
     /// The process playing the writer role.
     #[must_use]
     pub fn writer_pid(&self) -> ProcessId {
-        self.roles.writer()
+        self.core.roles.writer()
     }
 
     /// The recorded operation history.
     #[must_use]
     pub fn history(&self) -> HistoryLog<StickyInv<V>, StickyResp<V>> {
         self.log.clone()
-    }
-
-    /// Read-only views of the shared registers.
-    #[must_use]
-    pub fn shared(&self) -> SharedPorts<V> {
-        self.shared.clone()
-    }
-
-    fn take_ports(&self, role: usize) -> ProcessPorts<V> {
-        self.endpoints.take(role)
     }
 
     /// The unique writer handle.
@@ -270,15 +207,13 @@ impl<V: Value> StickyRegister<V> {
     /// Panics if taken twice or if the writer is declared Byzantine.
     #[must_use]
     pub fn writer(&self) -> StickyWriter<V> {
-        let pid = self.roles.writer();
-        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
-        let ports = self.take_ports(1);
+        let (pid, (e1_w, _)) = self.core.writer();
         StickyWriter {
-            env: self.env.clone(),
+            env: self.core.env.clone(),
             pid,
-            e1_w: ports.echo_w,
+            e1_w,
             witness: self.shared.witness.clone(),
-            demand: self.demand.clone(),
+            demand: self.core.demand.clone(),
             log: self.log.clone(),
         }
     }
@@ -290,18 +225,10 @@ impl<V: Value> StickyRegister<V> {
     /// Panics if `pid` is the writer, taken twice, or declared Byzantine.
     #[must_use]
     pub fn reader(&self, pid: ProcessId) -> StickyReader<V> {
-        let role = self.roles.role_of(pid);
-        assert!(role != 1, "{pid} is the writer, not a reader");
-        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
-        let ports = self.take_ports(role);
         StickyReader {
-            env: self.env.clone(),
+            env: self.core.env.clone(),
             pid,
-            parts: EngineParts {
-                ck: ports.asker_w.expect("reader ports"),
-                replies: self.shared.reply_column(role),
-                demand: self.demand.clone(),
-            },
+            parts: self.core.reader(pid, &self.shared.fabric),
             log: self.log.clone(),
         }
     }
@@ -313,27 +240,16 @@ impl<V: Value> StickyRegister<V> {
     /// Panics if `pid` is correct or already taken.
     #[must_use]
     pub fn attack_ports(&self, pid: ProcessId) -> AttackPorts<V> {
-        assert!(
-            self.env.is_faulty(pid),
-            "{pid} is correct; only declared-Byzantine processes get attack ports"
-        );
-        let ports = self.take_ports(self.roles.role_of(pid));
-        AttackPorts {
-            pid,
-            echo: ports.echo_w,
-            witness: ports.witness_w,
-            replies: ports.replies_w,
-            asker: ports.asker_w,
-            shared: self.shared.clone(),
-        }
+        let ((echo, witness), fabric) = self.core.attacker(pid);
+        AttackPorts { pid, echo, witness, fabric, shared: self.shared.clone() }
     }
 }
 
 impl<V: Value> std::fmt::Debug for StickyRegister<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StickyRegister")
-            .field("n", &self.env.n())
-            .field("f", &self.env.f())
+            .field("n", &self.core.env.n())
+            .field("f", &self.core.env.f())
             .finish()
     }
 }
@@ -577,7 +493,7 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask3<V> {
         }
 
         // Lines 31-32: sample C_k, compute askers.
-        let (ck, askers) = self.tracker.poll(&self.shared.askers);
+        let (ck, askers) = self.tracker.poll(&self.shared.fabric.askers);
         if askers.is_empty() {
             return; // line 33
         }
@@ -687,16 +603,13 @@ mod tests {
             .build();
         let reg = StickyRegister::install(&system);
         let ports = reg.attack_ports(ProcessId::new(1));
-        let shared = ports.shared.clone();
         let mut flip = 0u32;
         system.spawn_byzantine(ProcessId::new(1), move || {
             flip += 1;
             ports.echo.write(Some(if flip % 2 == 0 { 111 } else { 222 }));
             ports.witness.write(Some(if flip % 3 == 0 { 111 } else { 222 }));
-            for (k, rep) in ports.replies.iter().enumerate() {
-                let c = shared.askers[k].read();
-                rep.write((Some(if flip % 2 == 0 { 222 } else { 111 }), c));
-            }
+            let reply = Some(if flip % 2 == 0 { 222 } else { 111 });
+            ports.fabric.reply_all(&ports.shared.fabric, &reply);
             flip < 10_000
         });
         let mut got = Vec::new();

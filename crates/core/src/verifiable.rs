@@ -38,13 +38,14 @@
 use std::collections::BTreeSet;
 
 use byzreg_runtime::{
-    Env, HelpDemand, HelpShard, HistoryLog, LocalFactory, ProcessId, ReadPort, RegisterFactory,
-    Result, Roles, System, Value, WritePort,
+    Env, HelpShard, HistoryLog, LocalFactory, ProcessId, ReadPort, RegisterFactory, Result, Roles,
+    System, Value, WritePort,
 };
 use byzreg_spec::registers::{VerInv, VerResp};
 
 use crate::quorum::{
-    verify_groups, witness_update, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
+    verify_groups, witness_update, AskerTracker, EngineParts, FabricPorts, FabricView, Instance,
+    QuorumFabric, Reply,
 };
 
 /// A process's witness set (the content of `R_i`).
@@ -52,36 +53,14 @@ pub type WitnessSet<V> = BTreeSet<V>;
 
 /// Read-only views of every shared register of one verifiable-register
 /// instance. Everyone (including adversaries) may hold these.
+#[derive(Clone)]
 pub struct SharedPorts<V> {
     /// `R*` — the writer's current value.
     pub r_star: ReadPort<V>,
     /// `R_i` for `i = 1..=n` (index 0-based).
     pub witness: Vec<ReadPort<WitnessSet<V>>>,
-    /// `R_{j,k}`: `replies[j][k]` is helper `p_{j+1}`'s register for reader
-    /// `p_{k+2}`.
-    pub replies: Vec<Vec<ReadPort<Reply<V>>>>,
-    /// `C_k` for readers `p_2..=p_n` (index `pid - 2`).
-    pub askers: Vec<ReadPort<u64>>,
-}
-
-impl<V> Clone for SharedPorts<V> {
-    fn clone(&self) -> Self {
-        SharedPorts {
-            r_star: self.r_star.clone(),
-            witness: self.witness.clone(),
-            replies: self.replies.clone(),
-            askers: self.askers.clone(),
-        }
-    }
-}
-
-impl<V: Value> SharedPorts<V> {
-    /// The column of reply registers addressed to reader `pid`
-    /// (`R_{j,pid}` for all `j`), used by the verify loop.
-    fn reply_column(&self, pid: ProcessId) -> Vec<ReadPort<Reply<V>>> {
-        let k = pid.index() - 2;
-        self.replies.iter().map(|row| row[k].clone()).collect()
-    }
+    /// The reply registers `R_{j,k}` and asker counters `C_k`.
+    pub fabric: FabricView<WitnessSet<V>>,
 }
 
 /// Write ports owned by one process, as handed to a Byzantine adversary.
@@ -97,20 +76,15 @@ pub struct AttackPorts<V> {
     /// `R_pid` — the process's witness set (for `p1` this is the "signed
     /// values" register `R1`).
     pub witness: WritePort<WitnessSet<V>>,
-    /// `R_{pid,k}` for every reader `k` (0-based reader index).
-    pub replies: Vec<WritePort<Reply<V>>>,
-    /// `C_pid` — present only for readers.
-    pub asker: Option<WritePort<u64>>,
+    /// The process's reply row `R_{pid,k}` and, for a reader, `C_pid`.
+    pub fabric: FabricPorts<WitnessSet<V>>,
     /// Read access to every register of the instance.
     pub shared: SharedPorts<V>,
 }
 
-struct ProcessPorts<V> {
-    witness_w: WritePort<WitnessSet<V>>,
-    replies_w: Vec<WritePort<Reply<V>>>,
-    asker_w: Option<WritePort<u64>>, // readers only
-    r_star_w: Option<WritePort<V>>,  // writer only
-}
+/// One process's write ports besides the fabric: `R_i`, and `R*` for the
+/// writer.
+type Own<V> = (WritePort<WitnessSet<V>>, Option<WritePort<V>>);
 
 /// One installed verifiable-register instance (Algorithm 1).
 ///
@@ -119,13 +93,9 @@ struct ProcessPorts<V> {
 /// [`reader`](VerifiableRegister::reader) handles. Help tasks for all correct
 /// processes are attached to the system automatically.
 pub struct VerifiableRegister<V> {
-    env: Env,
+    core: Instance<WitnessSet<V>, Own<V>>,
     v0: V,
     shared: SharedPorts<V>,
-    endpoints: Endpoints<ProcessPorts<V>>,
-    /// The demand handle of the instance's help shard; reader handles'
-    /// quorum runs begin it (see [`crate::quorum::quorum_groups`]).
-    demand: HelpDemand,
     /// The operation log every handle records into; off for trait-path
     /// installs (see `api::SignatureRegister::install_in_shard`).
     pub(crate) log: HistoryLog<VerInv<V>, VerResp<V>>,
@@ -179,60 +149,34 @@ impl<V: Value> VerifiableRegister<V> {
 
         // R_i: SWMR witness-set registers; initially ∅.
         let mut witness_w = Vec::with_capacity(n);
-        let mut witness_r = Vec::with_capacity(n);
+        let mut witness = Vec::with_capacity(n);
         for i in 1..=n {
             let (w, r) =
                 factory.create(&env, ProcessId::new(i), format!("R[{i}]"), WitnessSet::<V>::new());
             witness_w.push(w);
-            witness_r.push(r);
+            witness.push(r);
         }
 
         // R_{j,k} reply registers (initially ⟨∅, 0⟩) and C_k round counters:
         // the shared quorum fabric of §5.1.
         let roles = Roles::identity(n);
-        let fabric = QuorumFabric::install(&env, factory, &roles, WitnessSet::<V>::new());
+        let QuorumFabric { view, ports } =
+            QuorumFabric::install(&env, factory, &roles, WitnessSet::<V>::new());
+        let shared = SharedPorts { r_star, witness, fabric: view };
 
-        let shared = SharedPorts {
-            r_star,
-            witness: witness_r,
-            replies: fabric.reply_matrix(),
-            askers: fabric.asker_ports(),
-        };
-
-        // Attach Help() to every correct process (System drops tasks for
-        // declared-Byzantine pids) on the help shard, demand-gated.
-        let demand = shard.new_demand();
-        for j in 1..=n {
-            let task = HelpTask1 {
-                env: env.clone(),
-                j,
-                shared: shared.clone(),
-                witness_w: witness_w[j - 1].clone(),
-                replies_w: fabric.reply_row(j),
-                tracker: AskerTracker::new(n - 1),
-            };
-            system.add_sharded_help_task(shard, ProcessId::new(j), &demand, Box::new(task));
-        }
-
-        // Per-process port bundles for handles / adversaries.
-        let mut endpoints = Vec::with_capacity(n);
-        for j in 1..=n {
-            endpoints.push(ProcessPorts {
-                witness_w: witness_w[j - 1].clone(),
-                replies_w: fabric.reply_row(j),
-                asker_w: fabric.asker_port(j),
-                r_star_w: (j == 1).then(|| r_star_w.clone()),
-            });
-        }
-
-        VerifiableRegister {
+        // Attach Help() to every correct process, demand-gated on the shard;
+        // R* goes to the first role, the writer.
+        let mut r_star_w = Some(r_star_w);
+        let own = witness_w.into_iter().map(|w| (w, r_star_w.take())).collect();
+        let core = Instance::new(system, roles, shard, own, ports, |j, own, replies_w| HelpTask1 {
             env: env.clone(),
-            v0,
-            shared,
-            endpoints: Endpoints::new(endpoints),
-            demand,
-            log: HistoryLog::new(env.clock()),
-        }
+            j,
+            shared: shared.clone(),
+            witness_w: own.0.clone(),
+            replies_w,
+            tracker: AskerTracker::new(n - 1),
+        });
+        VerifiableRegister { core, v0, shared, log: HistoryLog::new(env.clock()) }
     }
 
     /// The initial value `v0`.
@@ -247,16 +191,6 @@ impl<V: Value> VerifiableRegister<V> {
         self.log.clone()
     }
 
-    /// Read-only views of the shared registers (for diagnostics and tests).
-    #[must_use]
-    pub fn shared(&self) -> SharedPorts<V> {
-        self.shared.clone()
-    }
-
-    fn take_ports(&self, pid: ProcessId) -> ProcessPorts<V> {
-        self.endpoints.take_pid(pid)
-    }
-
     /// The unique writer handle (process `p1`).
     ///
     /// # Panics
@@ -265,13 +199,11 @@ impl<V: Value> VerifiableRegister<V> {
     /// [`VerifiableRegister::attack_ports`] instead).
     #[must_use]
     pub fn writer(&self) -> VerifiableWriter<V> {
-        let pid = ProcessId::new(1);
-        assert!(!self.env.is_faulty(pid), "p1 is Byzantine; take attack_ports(p1) instead");
-        let ports = self.take_ports(pid);
+        let (_, (r1_w, r_star_w)) = self.core.writer();
         VerifiableWriter {
-            env: self.env.clone(),
-            r_star_w: ports.r_star_w.expect("writer ports"),
-            r1_w: ports.witness_w,
+            env: self.core.env.clone(),
+            r_star_w: r_star_w.expect("writer ports"),
+            r1_w,
             written: BTreeSet::new(),
             log: self.log.clone(),
         }
@@ -285,17 +217,10 @@ impl<V: Value> VerifiableRegister<V> {
     /// Byzantine.
     #[must_use]
     pub fn reader(&self, pid: ProcessId) -> VerifiableReader<V> {
-        assert!(!pid.is_writer(), "p1 is the writer, not a reader");
-        assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
-        let ports = self.take_ports(pid);
         VerifiableReader {
-            env: self.env.clone(),
+            env: self.core.env.clone(),
             pid,
-            parts: EngineParts {
-                ck: ports.asker_w.expect("reader ports"),
-                replies: self.shared.reply_column(pid),
-                demand: self.demand.clone(),
-            },
+            parts: self.core.reader(pid, &self.shared.fabric),
             r_star: self.shared.r_star.clone(),
             log: self.log.clone(),
         }
@@ -309,27 +234,16 @@ impl<V: Value> VerifiableRegister<V> {
     /// Panics if `pid` is correct or the ports were already taken.
     #[must_use]
     pub fn attack_ports(&self, pid: ProcessId) -> AttackPorts<V> {
-        assert!(
-            self.env.is_faulty(pid),
-            "{pid} is correct; only declared-Byzantine processes get attack ports"
-        );
-        let ports = self.take_ports(pid);
-        AttackPorts {
-            pid,
-            r_star: ports.r_star_w,
-            witness: ports.witness_w,
-            replies: ports.replies_w,
-            asker: ports.asker_w,
-            shared: self.shared.clone(),
-        }
+        let ((witness, r_star), fabric) = self.core.attacker(pid);
+        AttackPorts { pid, r_star, witness, fabric, shared: self.shared.clone() }
     }
 }
 
 impl<V: Value> std::fmt::Debug for VerifiableRegister<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerifiableRegister")
-            .field("n", &self.env.n())
-            .field("f", &self.env.f())
+            .field("n", &self.core.env.n())
+            .field("f", &self.core.env.f())
             .field("v0", &self.v0)
             .finish()
     }
@@ -486,7 +400,7 @@ struct HelpTask1<V: Value> {
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
     fn tick(&mut self) {
         // Lines 27-28: sample C_k and compute askers.
-        let (ck, askers) = self.tracker.poll(&self.shared.askers);
+        let (ck, askers) = self.tracker.poll(&self.shared.fabric.askers);
         if askers.is_empty() {
             return; // line 29 (no askers: do nothing this round)
         }
@@ -520,25 +434,20 @@ mod tests {
             .unzip();
         let fabric =
             QuorumFabric::install(env, &LocalFactory, &Roles::identity(4), BTreeSet::new());
-        let shared = SharedPorts {
-            r_star,
-            witness,
-            replies: fabric.reply_matrix(),
-            askers: fabric.asker_ports(),
-        };
+        let shared = SharedPorts { r_star, witness, fabric: fabric.view.clone() };
         let mut task = HelpTask1 {
             env: env.clone(),
             j: 3,
             shared: shared.clone(),
             witness_w: witness_w[2].clone(),
-            replies_w: fabric.reply_row(3),
+            replies_w: fabric.ports[2].replies.clone(),
             tracker: AskerTracker::new(3),
         };
-        fabric.asker_port(2).unwrap().write(1);
+        fabric.ports[1].asker.as_ref().unwrap().write(1);
         let before = env.gate().steps();
         env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
         let steps = env.gate().steps() - before;
-        (steps, shared.witness[2].read(), shared.replies[2][0].read())
+        (steps, shared.witness[2].read(), shared.fabric.replies[2][0].read())
     }
 
     #[test]
@@ -703,33 +612,5 @@ mod tests {
         assert_eq!(ops.len(), 4);
         assert!(matches!(ops[0].invocation, VerInv::Write(1)));
         assert!(matches!(ops[1].invocation, VerInv::Sign(1)));
-    }
-
-    #[test]
-    fn attack_ports_only_for_declared_byzantine() {
-        let system = System::builder(4).byzantine(ProcessId::new(3)).build();
-        let reg = VerifiableRegister::install(&system, 0u32);
-        let ports = reg.attack_ports(ProcessId::new(3));
-        assert_eq!(ports.pid, ProcessId::new(3));
-        assert!(ports.r_star.is_none(), "p3 does not own R*");
-        assert!(ports.asker.is_some());
-        system.shutdown();
-    }
-
-    #[test]
-    #[should_panic(expected = "is correct")]
-    fn attack_ports_for_correct_process_panics() {
-        let system = System::builder(4).build();
-        let reg = VerifiableRegister::install(&system, 0u32);
-        let _ = reg.attack_ports(ProcessId::new(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "already taken")]
-    fn double_reader_take_panics() {
-        let system = System::builder(4).build();
-        let reg = VerifiableRegister::install(&system, 0u32);
-        let _a = reg.reader(ProcessId::new(2));
-        let _b = reg.reader(ProcessId::new(2));
     }
 }

@@ -20,16 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Byzantine process tries to propose different values to different
     // peers by flapping its registers as fast as it can.
     let ports = broadcast.attack_ports(equivocator);
-    let shared = ports.shared.clone();
     let mut i = 0u64;
     system.spawn_byzantine(equivocator, move || {
         i += 1;
         let value = if i % 2 == 0 { "ATTACK-AT-DAWN" } else { "RETREAT" };
         ports.echo.write(Some(value));
-        for (k, rep) in ports.replies.iter().enumerate() {
-            let round = shared.askers[k].read();
-            rep.write((Some(if i % 3 == 0 { "ATTACK-AT-DAWN" } else { "RETREAT" }), round));
-        }
+        // Answer every reader's current round with yet another story.
+        let reply = Some(if i % 3 == 0 { "ATTACK-AT-DAWN" } else { "RETREAT" });
+        ports.fabric.reply_all(&ports.shared.fabric, &reply);
         i < 200_000
     });
 

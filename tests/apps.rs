@@ -16,15 +16,11 @@ fn non_equivocation_under_byzantine_sender() {
         .build();
     let neb = NonEquivocatingBroadcast::<u64>::install(&system);
     let ports = neb.attack_ports(ProcessId::new(1));
-    let shared = ports.shared.clone();
     let mut i = 0u64;
     system.spawn_byzantine(ProcessId::new(1), move || {
         i += 1;
         ports.echo.write(Some(i % 2));
-        for (k, rep) in ports.replies.iter().enumerate() {
-            let c = shared.askers[k].read();
-            rep.write((Some((i + 1) % 2), c));
-        }
+        ports.fabric.reply_all(&ports.shared.fabric, &Some((i + 1) % 2));
         i < 30_000
     });
     let mut delivered = Vec::new();

@@ -143,15 +143,11 @@ fn forgery_fails_against_the_verifiable_register_construction() {
     let system = System::builder(4).scheduling(Scheduling::Chaotic(94)).byzantine(pa).build();
     let tos = TosFromVerifiable::install(&system);
     let ports = tos.backing().attack_ports(pa);
-    let shared = ports.shared.clone();
     system.spawn_byzantine(pa, move || {
         // Claim to witness "1" (the Set value) everywhere, forever.
         let one: std::collections::BTreeSet<u8> = std::iter::once(1u8).collect();
         ports.witness.write(one.clone());
-        for (k, rep) in ports.replies.iter().enumerate() {
-            let c = shared.askers[k].read();
-            rep.write((one.clone(), c));
-        }
+        ports.fabric.reply_all(&ports.shared.fabric, &one);
         true
     });
 
