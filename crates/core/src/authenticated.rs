@@ -48,8 +48,8 @@ use byzreg_runtime::{
 use byzreg_spec::registers::{AuthInv, AuthResp};
 
 use crate::quorum::{
-    verify_groups, witness_update, AskerTracker, EngineParts, FabricPorts, FabricView, Instance,
-    QuorumFabric, Reply,
+    verify_groups, witness_update, AskerTracker, EngineParts, FabricPorts, FabricView, Inputs,
+    Instance, QuorumFabric, Reply,
 };
 
 /// A process's witness set (content of `R_j`, `j ≠ 1`).
@@ -228,6 +228,7 @@ impl<V: Value> AuthenticatedRegister<V> {
             witness_w: own.1.clone(),
             replies_w,
             tracker: AskerTracker::new(n - 1),
+            inputs: Inputs::default(),
         });
         AuthenticatedRegister { core, v0, shared, log: HistoryLog::new(env.clock()) }
     }
@@ -458,6 +459,9 @@ struct HelpTask2<V: Value> {
     witness_w: Option<WritePort<WitnessSet<V>>>,
     replies_w: Vec<WritePort<Reply<V>>>,
     tracker: AskerTracker,
+    /// The versions of `R1` and every `R_i` before the last run of lines
+    /// 29-35.
+    inputs: Inputs,
 }
 
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
@@ -467,24 +471,33 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
         if askers.is_empty() {
             return; // line 28
         }
-        // Lines 29-30: r <- R1; r1 <- {v | ⟨−, v⟩ ∈ r}.
-        let r1: BTreeSet<V> = self.shared.r1.read().values();
-
-        let r_j: WitnessSet<V> = if let Some(witness_w) = &self.witness_w {
-            // Lines 31-34 (j ≠ 1): read every reader's R_i, then witness any
-            // value in r1 or with >= f+1 witnesses (counting r1 as one set,
-            // cf. "1 <= i <= n" in line 33).
-            let mut all_sets: Vec<WitnessSet<V>> = Vec::with_capacity(self.env.n());
-            all_sets.push(r1);
-            for port in &self.shared.witness {
-                all_sets.push(port.read()); // line 32
-            }
-            // Lines 33-35, each qualifying value R_j lacks in one RMW.
-            witness_update(witness_w, all_sets, self.j - 1, self.env.f())
-        } else {
+        let r_j: WitnessSet<V> = match &self.witness_w {
             // j = 1: the writer replies with the values of R1 itself
-            // (footnote 9; Lemma 103 Case 2 relies on this).
-            r1
+            // (footnote 9; Lemma 103 Case 2 relies on this), its own
+            // register.
+            None => self.shared.r1.read().values(),
+            Some(witness_w) => {
+                let versions = std::iter::once(self.shared.r1.version())
+                    .chain(self.shared.witness.iter().map(ReadPort::version));
+                if self.inputs.moved(versions) {
+                    // Lines 29-30: r <- R1; r1 <- {v | ⟨−, v⟩ ∈ r}. Lines
+                    // 31-34 (j ≠ 1): read every reader's R_i, then witness
+                    // any value in r1 or with >= f+1 witnesses (counting r1
+                    // as one set, cf. "1 <= i <= n" in line 33).
+                    let mut all_sets: Vec<WitnessSet<V>> = Vec::with_capacity(self.env.n());
+                    all_sets.push(self.shared.r1.read().values());
+                    for port in &self.shared.witness {
+                        all_sets.push(port.read()); // line 32
+                    }
+                    // Lines 33-35, each qualifying value R_j lacks in one RMW.
+                    witness_update(witness_w, all_sets, self.j - 1, self.env.f())
+                } else {
+                    // Neither R1 nor any R_i moved since the last run of
+                    // lines 29-35, which left nothing to add: rerunning them
+                    // would return R_j unchanged.
+                    witness_w.read()
+                }
+            }
         };
 
         // Lines 36-38: help each asker.
@@ -496,6 +509,7 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Loads;
     use byzreg_runtime::{Scheduling, System};
 
     fn sys(n: usize, seed: u64) -> System {
@@ -621,38 +635,90 @@ mod tests {
         system.shutdown();
     }
 
-    /// One help tick of `p3` on a fixed `n = 4` fixture: `R1` holds
-    /// `⟨1, 5⟩`, reader `p_k`'s witness set is `sets[k - 2]`, and reader
-    /// `p2` has one pending round. Returns the gate steps of the tick, then
-    /// `R_3` and `p3`'s reply to `p2`.
+    /// Helper `p3`'s `Help()` task on a fixed `n = 4` fixture whose
+    /// registers count their loads: `R1` holds `⟨1, 5⟩`, reader `p_k`'s
+    /// witness set is `sets[k - 2]`, and reader `p2` has one pending round.
+    struct Fixture {
+        system: System,
+        loads: Loads,
+        task: HelpTask2<u32>,
+        shared: SharedPorts<u32>,
+        r1_w: WritePort<WriterRecord<u32>>,
+        fabric: QuorumFabric<WitnessSet<u32>>,
+    }
+
+    impl Fixture {
+        fn new(sets: [&[u32]; 3]) -> Self {
+            let (system, loads) = (System::builder(4).build(), Loads::default());
+            let env = system.env();
+            let pid = |k: usize| ProcessId::new(k);
+            let r1 = WriterRecord::Tuples([(1u64, 5u32)].into_iter().collect());
+            let (r1_w, r1) = loads.create(env, pid(1), "R1".into(), r1);
+            let (witness_w, witness): (Vec<_>, Vec<_>) = (2..=4)
+                .map(|k| {
+                    let set = sets[k - 2].iter().copied().collect();
+                    loads.create(env, pid(k), format!("R[{k}]"), set)
+                })
+                .unzip();
+            let fabric = QuorumFabric::install(env, &loads, &Roles::identity(4), BTreeSet::new());
+            let shared = SharedPorts { r1, witness, fabric: fabric.view.clone() };
+            let task = HelpTask2 {
+                env: env.clone(),
+                j: 3,
+                shared: shared.clone(),
+                witness_w: Some(witness_w[1].clone()),
+                replies_w: fabric.ports[2].replies.clone(),
+                tracker: AskerTracker::new(3),
+                inputs: Inputs::default(),
+            };
+            let fixture = Fixture { system, loads, task, shared, r1_w, fabric };
+            fixture.ask(1);
+            fixture
+        }
+
+        /// Reader `p2` starts asker round `ck`.
+        fn ask(&self, ck: u64) {
+            self.fabric.ports[1].asker.as_ref().unwrap().write(ck);
+        }
+
+        /// One tick of `p3`; returns its gate steps.
+        fn tick(&mut self) -> u64 {
+            let env = self.system.env();
+            let before = env.gate().steps();
+            env.run_as(ProcessId::new(3), || byzreg_runtime::HelpTask::tick(&mut self.task));
+            env.gate().steps() - before
+        }
+    }
+
+    /// One help tick of `p3` on [`Fixture::new`]`(sets)`. Returns the gate
+    /// steps of the tick, then `R_3` and `p3`'s reply to `p2`.
     fn tick_p3(sets: [&[u32]; 3]) -> (u64, WitnessSet<u32>, Reply<u32>) {
-        let system = System::builder(4).build();
-        let env = system.env();
-        let pid = |k: usize| ProcessId::new(k);
-        let r1 = WriterRecord::Tuples([(1u64, 5u32)].into_iter().collect());
-        let (_, r1) = byzreg_runtime::swmr(env.gate(), pid(1), "R1", r1);
-        let (witness_w, witness): (Vec<_>, Vec<_>) = (2..=4)
-            .map(|k| {
-                let set = sets[k - 2].iter().copied().collect();
-                byzreg_runtime::swmr(env.gate(), pid(k), format!("R[{k}]"), set)
-            })
-            .unzip();
-        let fabric =
-            QuorumFabric::install(env, &LocalFactory, &Roles::identity(4), BTreeSet::new());
-        let shared = SharedPorts { r1, witness, fabric: fabric.view.clone() };
-        let mut task = HelpTask2 {
-            env: env.clone(),
-            j: 3,
-            shared: shared.clone(),
-            witness_w: Some(witness_w[1].clone()),
-            replies_w: fabric.ports[2].replies.clone(),
-            tracker: AskerTracker::new(3),
-        };
-        fabric.ports[1].asker.as_ref().unwrap().write(1);
-        let before = env.gate().steps();
-        env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
-        let steps = env.gate().steps() - before;
+        let mut fixture = Fixture::new(sets);
+        let steps = fixture.tick();
+        let shared = &fixture.shared;
         (steps, shared.witness[1].read(), shared.fabric.replies[2][0].read())
+    }
+
+    #[test]
+    fn help_tick_with_unmoved_inputs_reads_only_its_own_register() {
+        let mut fixture = Fixture::new([&[0, 5], &[0, 5], &[0]]);
+        assert_eq!(fixture.tick(), 8, "the first tick runs lines 29-35");
+        // A new round with neither R1 nor any R_i moved: one C_2 read, one
+        // read of R_3 (its own register), one reply write.
+        fixture.ask(2);
+        let before = fixture.loads.all();
+        assert_eq!(fixture.tick(), 3);
+        let read = fixture.loads.since(&before);
+        assert_eq!(read, [("C[2]".to_owned(), 1), ("R[3]".to_owned(), 1)].into());
+        assert_eq!(fixture.shared.fabric.replies[2][0].read(), ([0, 5].into(), 2));
+        // A write to R1 moves it: the next tick reads R1 and every R_i, and
+        // witnesses the new value in one RMW.
+        fixture.r1_w.write(WriterRecord::Tuples([(1, 5), (2, 6)].into_iter().collect()));
+        fixture.ask(3);
+        let before = fixture.loads.all();
+        assert_eq!(fixture.tick(), 7);
+        assert_eq!(fixture.loads.since(&before).len(), 5, "C_2, R1 and the three R_i");
+        assert_eq!(fixture.shared.fabric.replies[2][0].read(), ([0, 5, 6].into(), 3));
     }
 
     #[test]

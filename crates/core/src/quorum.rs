@@ -23,8 +23,8 @@
 use std::collections::BTreeSet;
 
 use byzreg_runtime::{
-    Env, HelpDemand, HelpDemandGuard, HelpShard, HelpTask, ProcessId, ReadPort, RegisterFactory,
-    Result, Roles, System, Value, WritePort,
+    gate, Env, HelpDemand, HelpDemandGuard, HelpShard, HelpTask, ProcessId, ReadPort,
+    RegisterFactory, Result, Roles, System, Value, WritePort,
 };
 
 use parking_lot::Mutex;
@@ -109,6 +109,11 @@ struct GroupState<T> {
 /// run over many registers waits for the slowest group's rounds, not the
 /// sum.
 ///
+/// The spin reads only what changed: a reply register whose write version
+/// has not moved since this run read it stale is not read again (see
+/// `ReadPort::version`). Rounds and decisions are those of a run in which
+/// that read was merely delayed.
+///
 /// # Errors
 ///
 /// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
@@ -138,6 +143,9 @@ pub fn quorum_groups<W: Value, T>(
     let mut pending_total: usize = states.iter().map(|s| s.pending).sum();
     let mut my_ck = vec![0u64; groups.len()];
     let mut cursor = 0u64;
+    // Per group and helper: the version of `R_{j,k}` at this run's last
+    // read of it, and the timestamp that read returned.
+    let mut seen: Vec<Vec<Option<(u64, u64)>>> = vec![vec![None; n]; groups.len()];
 
     // Alg. 1 line 12: while true (each iteration is a "round").
     while pending_total > 0 {
@@ -175,14 +183,24 @@ pub fn quorum_groups<W: Value, T>(
         while remaining > 0 {
             env.check_running()?;
             let before = remaining;
+            let mut read_any = false;
             for (g, &(parts, _)) in groups.iter().enumerate() {
                 if !need[g] {
                     continue;
                 }
                 // Lines 14-17: read R_{j,k} of every relevant p_j until one
-                // carries a timestamp >= Ck.
+                // carries a timestamp >= Ck. A register whose version has
+                // not moved since this run read it stale is still stale
+                // (see `ReadPort::version`): that read is skipped.
                 let fresh = (0..n).filter(|&j| relevant[g][j]).find_map(|j| {
-                    let (r_j, c_j) = parts.replies[j].read();
+                    let port = &parts.replies[j];
+                    let version = port.version();
+                    if matches!(seen[g][j], Some((v, c_j)) if v == version && c_j < my_ck[g]) {
+                        return None;
+                    }
+                    let (r_j, c_j) = port.read();
+                    read_any = true;
+                    seen[g][j] = Some((version, c_j));
                     (c_j >= my_ck[g]).then_some((j, r_j))
                 });
                 let Some((j, r_j)) = fresh else { continue };
@@ -217,7 +235,12 @@ pub fn quorum_groups<W: Value, T>(
             }
             if remaining == before {
                 // Nothing fresh in this pass: the replies come from help
-                // engines that may be waiting for this very core.
+                // engines that may be waiting for this very core. A pass
+                // that read nothing still takes one step, so a lockstep
+                // schedule can move on to the helpers.
+                if !read_any {
+                    gate::idle_step(&env.gate());
+                }
                 std::thread::yield_now();
             }
         }
@@ -265,30 +288,57 @@ pub fn verify_groups<V: Value>(
 /// (Alg. 1 lines 25–28/36, Alg. 2 lines 24–27/38, Alg. 3 lines 23/31–32/40).
 #[derive(Debug)]
 pub struct AskerTracker {
-    prev_ck: Vec<u64>,
+    readers: Vec<Asker>,
+}
+
+/// What a helper keeps of one reader's `C_k`.
+#[derive(Clone, Copy, Debug)]
+struct Asker {
+    /// The last acknowledged round.
+    prev_ck: u64,
+    /// The version of `C_k` at the last read (`u64::MAX` before the first),
+    /// and the value that read returned.
+    version: u64,
+    ck: u64,
 }
 
 impl AskerTracker {
     /// Creates a tracker for `readers` readers, with every `prev_ck = 0`.
     #[must_use]
     pub fn new(readers: usize) -> Self {
-        AskerTracker { prev_ck: vec![0; readers] }
+        AskerTracker { readers: vec![Asker { prev_ck: 0, version: u64::MAX, ck: 0 }; readers] }
     }
 
-    /// Reads every `C_k` and returns `(ck, askers)`: the sampled counters and
+    /// Samples every `C_k` and returns `(ck, askers)`: the sampled counters and
     /// the (0-based) reader indices whose counter increased since the last
-    /// acknowledged round.
-    pub fn poll(&self, c: &[ReadPort<u64>]) -> (Vec<u64>, Vec<usize>) {
-        let ck: Vec<u64> = c.iter().map(ReadPort::read).collect();
-        let askers =
-            ck.iter().enumerate().filter(|(k, v)| **v > self.prev_ck[*k]).map(|(k, _)| k).collect();
+    /// acknowledged round. A `C_k` whose version has not moved since the last
+    /// poll read it is not read again: the read would return the same value
+    /// (see `ReadPort::version`).
+    pub fn poll(&mut self, c: &[ReadPort<u64>]) -> (Vec<u64>, Vec<usize>) {
+        let mut askers = Vec::new();
+        let ck = c
+            .iter()
+            .zip(&mut self.readers)
+            .enumerate()
+            .map(|(k, (port, reader))| {
+                let version = port.version();
+                if version != reader.version {
+                    reader.ck = port.read();
+                    reader.version = version;
+                }
+                if reader.ck > reader.prev_ck {
+                    askers.push(k);
+                }
+                reader.ck
+            })
+            .collect();
         (ck, askers)
     }
 
     /// Acknowledges that reader `k` was helped at round `ck` (line 36/38/40:
     /// `prev_ck <- ck`).
     pub fn acknowledge(&mut self, k: usize, ck: u64) {
-        self.prev_ck[k] = ck;
+        self.readers[k].prev_ck = ck;
     }
 
     /// Answers every pending asker with `reply` and acknowledges the served
@@ -304,6 +354,24 @@ impl AskerTracker {
             replies_w[k].write((reply.clone(), ck[k]));
             self.acknowledge(k, ck[k]);
         }
+    }
+}
+
+/// The write versions of the registers a `Help()` body reads, as sampled
+/// before its last full run, kept as their sum: versions never decrease, so
+/// the sum is unchanged exactly when every version is. While none has moved,
+/// a re-run would read what the last run read (see `ReadPort::version`) and
+/// so change nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Inputs(Option<u64>);
+
+impl Inputs {
+    /// Samples `versions` (before the body reads) and records them. Returns
+    /// whether the body must run: `false` iff no version moved since the
+    /// last sample.
+    pub(crate) fn moved(&mut self, versions: impl IntoIterator<Item = u64>) -> bool {
+        let now = Some(versions.into_iter().sum());
+        std::mem::replace(&mut self.0, now) != now
     }
 }
 
@@ -520,6 +588,7 @@ impl<W: Value, P> Instance<W, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Loads;
     use byzreg_runtime::{register, LocalFactory, ProcessId, System};
 
     #[test]
@@ -549,6 +618,77 @@ mod tests {
         writers[0].write(1);
         let (_, askers) = t.poll(&ports);
         assert_eq!(askers, vec![0, 1]);
+    }
+
+    #[test]
+    fn asker_polls_read_only_moved_counters() {
+        let sys = System::builder(4).build();
+        let (env, loads) = (sys.env(), Loads::default());
+        let (writers, ports): (Vec<_>, Vec<_>) =
+            (2..=4).map(|k| loads.create(env, ProcessId::new(k), format!("C{k}"), 0u64)).unzip();
+        let mut t = AskerTracker::new(3);
+        assert!(t.poll(&ports).1.is_empty());
+        let first = loads.all();
+        assert_eq!(first.values().sum::<usize>(), 3, "the first poll reads every C_k");
+        assert!(t.poll(&ports).1.is_empty());
+        assert!(loads.since(&first).is_empty(), "no C_k moved: no load");
+        writers[2].write(5);
+        let (ck, askers) = t.poll(&ports);
+        assert_eq!((ck, askers), (vec![0, 0, 5], vec![2]));
+        assert_eq!(loads.since(&first), [("C4".to_owned(), 1)].into());
+    }
+
+    #[test]
+    fn the_spin_rereads_only_moved_reply_registers() {
+        // Reader p2 verifies 7 against a column nobody has answered. Its
+        // first pass reads all four R_{j,2}; then, until a helper writes,
+        // every pass reads nothing and takes one idle gate step.
+        let sys = System::builder(4).build();
+        let (env, loads) = (sys.env(), Loads::default());
+        let p = ProcessId::new;
+        let (ck, ck_r) = loads.create(env, p(2), "C".into(), 0u64);
+        let (reply_w, replies): (Vec<_>, Vec<_>) = (1..=4)
+            .map(|j| loads.create(env, p(j), format!("R{j}"), (BTreeSet::<u32>::new(), 0)))
+            .unzip();
+        let parts = EngineParts { ck, replies, demand: sys.new_help_shard().new_demand() };
+        let reply_loads = || (1..=4).map(|j| loads.of(&format!("R{j}"))).sum::<usize>();
+        // Waits until `cond` holds, then for 100 more gate steps.
+        let settle = |cond: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            while !cond() {
+                assert!(std::time::Instant::now() < deadline, "the reader made no progress");
+                std::thread::yield_now();
+            }
+            let steps = env.gate().steps();
+            while env.gate().steps() < steps + 100 {
+                assert!(std::time::Instant::now() < deadline, "an empty pass took no step");
+                std::thread::yield_now();
+            }
+        };
+        let got = std::thread::scope(|scope| {
+            let run = scope.spawn(|| env.run_as(p(2), || verify_groups(env, &[(&parts, &[7])])));
+            // A failed assert below shuts the system down, ending the run.
+            struct Shutdown<'a>(&'a System);
+            impl Drop for Shutdown<'_> {
+                fn drop(&mut self) {
+                    self.0.shutdown();
+                }
+            }
+            let _shutdown = Shutdown(&sys);
+            settle(&|| reply_loads() == 4);
+            assert_eq!(reply_loads(), 4, "unwritten reply registers are not re-read");
+            // One helper answers round 1: exactly one more load. In round 2
+            // that helper is no longer relevant and the others did not move.
+            reply_w[0].write(([7].into(), 1));
+            settle(&|| ck_r.version() == 2);
+            assert_eq!((reply_loads(), loads.of("R1")), (5, 2));
+            for w in &reply_w[1..3] {
+                w.write(([7].into(), u64::MAX));
+            }
+            run.join().unwrap()
+        });
+        assert_eq!(got.unwrap(), vec![vec![true]]);
+        assert_eq!(reply_loads(), 7, "each later answer is read once; R4 never again");
     }
 
     /// Reader `p2`'s engine handles over a reply column whose helper `p_j`

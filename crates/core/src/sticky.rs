@@ -37,13 +37,13 @@
 //! ```
 
 use byzreg_runtime::{
-    Env, HelpDemand, HelpShard, HistoryLog, LocalFactory, ProcessId, ReadPort, RegisterFactory,
-    Result, Roles, System, Value, WritePort,
+    gate, Env, HelpDemand, HelpShard, HistoryLog, LocalFactory, ProcessId, ReadPort,
+    RegisterFactory, Result, Roles, System, Value, WritePort,
 };
 use byzreg_spec::registers::{StickyInv, StickyResp};
 
 use crate::quorum::{
-    quorum_groups, AskerTracker, Ballot, EngineParts, FabricPorts, FabricView, Instance,
+    quorum_groups, AskerTracker, Ballot, EngineParts, FabricPorts, FabricView, Inputs, Instance,
     QuorumFabric, Tagged,
 };
 
@@ -184,6 +184,8 @@ impl<V: Value> StickyRegister<V> {
             witness_w: own.1.clone(),
             replies_w,
             tracker: AskerTracker::new(n - 1),
+            echoes: Inputs::default(),
+            witnesses: Inputs::default(),
         });
         StickyRegister { core, shared, log: HistoryLog::new(env.clock()) }
     }
@@ -299,17 +301,30 @@ impl<V: Value> StickyWriter<V> {
             // The witness wait of lines 3-5 terminates only through the
             // help tasks' echo/witness stages: keep the shard awake for it.
             let _help = self.demand.begin();
-            // Lines 3-5: wait until n−f processes have R_i = v.
+            // Lines 3-5: wait until n−f processes have R_i = v. An R_i
+            // whose version has not moved since it was last read is not
+            // read again (see `ReadPort::version`).
             let need = self.env.n_minus_f();
+            let mut seen: Vec<Option<(u64, bool)>> = vec![None; self.witness.len()];
             loop {
                 self.env.check_running()?;
-                let count = self.witness.iter().filter(|r| r.read().as_ref() == Some(&v)).count();
-                if count >= need {
+                let mut read_any = false;
+                for (port, seen) in self.witness.iter().zip(&mut seen) {
+                    let version = port.version();
+                    if !matches!(*seen, Some((v, _)) if v == version) {
+                        *seen = Some((version, port.read().as_ref() == Some(&v)));
+                        read_any = true;
+                    }
+                }
+                if seen.iter().filter(|s| matches!(s, Some((_, true)))).count() >= need {
                     return Ok(()); // line 6
                 }
                 // Too few witnesses in this pass: they come from help
                 // engines that may be waiting for this very core (the rule
-                // of `quorum_groups`).
+                // of `quorum_groups`, including its idle step).
+                if !read_any {
+                    gate::idle_step(&self.env.gate());
+                }
                 std::thread::yield_now();
             }
         });
@@ -450,6 +465,10 @@ struct HelpTask3<V: Value> {
     witness_w: WritePort<Slot<V>>,
     replies_w: Vec<WritePort<Reply<V>>>,
     tracker: AskerTracker,
+    /// The versions of every `E_i` before the last run of lines 25-30.
+    echoes: Inputs,
+    /// The versions of every `R_i` before the last run of lines 34-36.
+    witnesses: Inputs,
 }
 
 impl<V: Value> HelpTask3<V> {
@@ -469,26 +488,32 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask3<V> {
         let n = self.env.n();
         let f = self.env.f();
 
-        // Lines 25-27: echo the first non-⊥ value seen in E1.
-        if self.echo_w.read().is_none() {
-            let e1 = self.shared.echo[0].read(); // line 26: ej <- E1
-            if e1.is_some() {
-                // Line 27, guarded: only the first echo sticks. The guard
-                // also prevents p1's help thread from clobbering p1's own
-                // Write (owner RMW; see register::update docs).
-                self.echo_w.update(|slot| {
-                    if slot.is_none() {
-                        *slot = e1;
-                    }
-                });
+        // Lines 25-30 read only E_1, the E_i and the helper's own registers,
+        // and a run leaves nothing to do for the same E_i: an echo it writes
+        // moves E_j, a witness it writes only turns line 28's guard off. So
+        // they rerun only once some E_i moved.
+        if self.echoes.moved(self.shared.echo.iter().map(ReadPort::version)) {
+            // Lines 25-27: echo the first non-⊥ value seen in E1.
+            if self.echo_w.read().is_none() {
+                let e1 = self.shared.echo[0].read(); // line 26: ej <- E1
+                if e1.is_some() {
+                    // Line 27, guarded: only the first echo sticks. The guard
+                    // also prevents p1's help thread from clobbering p1's own
+                    // Write (owner RMW; see register::update docs).
+                    self.echo_w.update(|slot| {
+                        if slot.is_none() {
+                            *slot = e1;
+                        }
+                    });
+                }
             }
-        }
 
-        // Lines 28-30: become a witness of v after n−f echoes of v.
-        if self.witness_w.read().is_none() {
-            let echoes: Vec<Slot<V>> = self.shared.echo.iter().map(ReadPort::read).collect();
-            if let Some(v) = majority_value(&echoes, n - f) {
-                self.witness_if_unset(v);
+            // Lines 28-30: become a witness of v after n−f echoes of v.
+            if self.witness_w.read().is_none() {
+                let echoes: Vec<Slot<V>> = self.shared.echo.iter().map(ReadPort::read).collect();
+                if let Some(v) = majority_value(&echoes, n - f) {
+                    self.witness_if_unset(v);
+                }
             }
         }
 
@@ -498,8 +523,11 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask3<V> {
             return; // line 33
         }
 
-        // Lines 34-36: with an asker waiting, also accept f+1 witnesses.
-        if self.witness_w.read().is_none() {
+        // Lines 34-36: with an asker waiting, also accept f+1 witnesses —
+        // again only once some R_i moved since the last run.
+        if self.witnesses.moved(self.shared.witness.iter().map(ReadPort::version))
+            && self.witness_w.read().is_none()
+        {
             let witnesses: Vec<Slot<V>> = self.shared.witness.iter().map(ReadPort::read).collect();
             if let Some(v) = majority_value(&witnesses, f + 1) {
                 self.witness_if_unset(v);
@@ -525,10 +553,62 @@ fn majority_value<V: Value>(slots: &[Slot<V>], threshold: usize) -> Option<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Loads;
     use byzreg_runtime::{Scheduling, System};
+    use std::collections::BTreeMap;
 
     fn sys(n: usize, seed: u64) -> System {
         System::builder(n).scheduling(Scheduling::Chaotic(seed)).build()
+    }
+
+    #[test]
+    fn help_tick_with_unmoved_inputs_reads_only_its_own_register() {
+        // Every E_i and R_i of an n = 4 instance holds 7; helper p3 ticks
+        // on registers that count their loads.
+        let (system, loads) = (System::builder(4).build(), Loads::default());
+        let env = system.env();
+        let pid = ProcessId::new;
+        let slot = |name: String, i| loads.create(env, pid(i), name, Some(7u32));
+        let (echo_w, echo): (Vec<_>, Vec<_>) = (1..=4).map(|i| slot(format!("E[{i}]"), i)).unzip();
+        let (witness_w, witness): (Vec<_>, Vec<_>) =
+            (1..=4).map(|i| slot(format!("R[{i}]"), i)).unzip();
+        let fabric = QuorumFabric::install(env, &loads, &Roles::identity(4), None);
+        let mut task = HelpTask3 {
+            env: env.clone(),
+            shared: SharedPorts { echo, witness, fabric: fabric.view.clone() },
+            echo_w: echo_w[2].clone(),
+            witness_w: witness_w[2].clone(),
+            replies_w: fabric.ports[2].replies.clone(),
+            tracker: AskerTracker::new(3),
+            echoes: Inputs::default(),
+            witnesses: Inputs::default(),
+        };
+        let mut tick = || {
+            let (before, steps) = (loads.all(), env.gate().steps());
+            env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
+            (env.gate().steps() - steps, loads.since(&before))
+        };
+        let ask = |ck| fabric.ports[1].asker.as_ref().unwrap().write(ck);
+        let loaded = |names: &[(&str, usize)]| -> BTreeMap<String, usize> {
+            names.iter().map(|&(name, n)| (name.to_owned(), n)).collect()
+        };
+        // With no asker the first tick runs only the echo stage: E_3 and
+        // R_3 (both set, so no E_1 or E_i read) and the three C_k.
+        assert_eq!(tick().0, 5);
+        // Nothing moved and no asker: nothing read at all.
+        assert_eq!(tick(), (0, BTreeMap::new()));
+        // A new round: C_2, then R_3 for lines 34-36 (first run) and 37.
+        ask(1);
+        assert_eq!(tick().1, loaded(&[("C[2]", 1), ("R[3]", 2)]));
+        // The next round reads C_2 and R_3 once: 3 steps with the reply.
+        ask(2);
+        assert_eq!(tick(), (3, loaded(&[("C[2]", 1), ("R[3]", 1)])));
+        assert_eq!(fabric.view.replies[2][0].read(), (Some(7), 2));
+        // A moved E_i reruns the echo stage (E_3 and R_3 set: no more).
+        echo_w[3].write(Some(8));
+        ask(3);
+        assert_eq!(tick().1, loaded(&[("C[2]", 1), ("E[3]", 1), ("R[3]", 2)]));
+        system.shutdown();
     }
 
     #[test]

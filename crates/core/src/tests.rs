@@ -1,11 +1,16 @@
 //! Cross-family tests of what every register instance installs: the base
 //! registers an install creates (names, owners, order), and who may take
-//! which handle.
+//! which handle. Also home of [`Loads`], the load-counting factory the
+//! read-skipping tests of every module share.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use byzreg_runtime::{
-    Env, LocalFactory, ProcessId, ReadPort, RegisterFactory, Roles, System, Value, WritePort,
+    custom_swmr, CellBackend, Env, LocalFactory, ProcessId, ReadPort, RegisterFactory, Roles,
+    System, Value, WritePort,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::authenticated::AuthenticatedRegister;
 use crate::quorum::FabricPorts;
@@ -26,6 +31,72 @@ impl RegisterFactory for Recording {
     ) -> (WritePort<T>, ReadPort<T>) {
         self.0.lock().push(format!("{name}@{owner}"));
         LocalFactory.create(env, owner, name, init)
+    }
+}
+
+/// A factory of in-process registers that count their backend loads by
+/// register name. A `ReadPort::read` or `WritePort::read` is one load; a
+/// skipped read is none, whatever the gate does.
+#[derive(Clone, Default)]
+pub(crate) struct Loads(Arc<Mutex<BTreeMap<String, usize>>>);
+
+struct Counted<T> {
+    value: RwLock<T>,
+    name: String,
+    loads: Loads,
+}
+
+impl<T: Value> CellBackend<T> for Counted<T> {
+    fn load(&self) -> T {
+        *self.loads.0.lock().entry(self.name.clone()).or_insert(0) += 1;
+        self.value.read().clone()
+    }
+
+    fn store(&self, v: T) {
+        *self.value.write() = v;
+    }
+
+    fn rmw(&self, f: Box<dyn FnOnce(&mut T) + '_>) -> T {
+        let mut value = self.value.write();
+        f(&mut value);
+        value.clone()
+    }
+}
+
+impl Loads {
+    /// The loads of the register named `name` so far.
+    pub(crate) fn of(&self, name: &str) -> usize {
+        self.0.lock().get(name).copied().unwrap_or(0)
+    }
+
+    /// The loads of every register so far, by name (registers never loaded
+    /// are absent).
+    pub(crate) fn all(&self) -> BTreeMap<String, usize> {
+        self.0.lock().clone()
+    }
+
+    /// The loads since `before` (an earlier [`Loads::all`]), by name,
+    /// leaving out registers with none.
+    pub(crate) fn since(&self, before: &BTreeMap<String, usize>) -> BTreeMap<String, usize> {
+        let mut loads = self.all();
+        loads.retain(|name, n| {
+            *n -= before.get(name).copied().unwrap_or(0);
+            *n > 0
+        });
+        loads
+    }
+}
+
+impl RegisterFactory for Loads {
+    fn create<T: Value>(
+        &self,
+        env: &Env,
+        owner: ProcessId,
+        name: String,
+        init: T,
+    ) -> (WritePort<T>, ReadPort<T>) {
+        let cell = Counted { value: RwLock::new(init), name: name.clone(), loads: self.clone() };
+        custom_swmr(env.gate(), owner, name, Box::new(cell))
     }
 }
 

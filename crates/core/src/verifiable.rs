@@ -44,8 +44,8 @@ use byzreg_runtime::{
 use byzreg_spec::registers::{VerInv, VerResp};
 
 use crate::quorum::{
-    verify_groups, witness_update, AskerTracker, EngineParts, FabricPorts, FabricView, Instance,
-    QuorumFabric, Reply,
+    verify_groups, witness_update, AskerTracker, EngineParts, FabricPorts, FabricView, Inputs,
+    Instance, QuorumFabric, Reply,
 };
 
 /// A process's witness set (the content of `R_i`).
@@ -175,6 +175,7 @@ impl<V: Value> VerifiableRegister<V> {
             witness_w: own.0.clone(),
             replies_w,
             tracker: AskerTracker::new(n - 1),
+            inputs: Inputs::default(),
         });
         VerifiableRegister { core, v0, shared, log: HistoryLog::new(env.clock()) }
     }
@@ -395,6 +396,8 @@ struct HelpTask1<V: Value> {
     witness_w: WritePort<WitnessSet<V>>,
     replies_w: Vec<WritePort<Reply<V>>>,
     tracker: AskerTracker,
+    /// The versions of every `R_i` before the last run of lines 30-33.
+    inputs: Inputs,
 }
 
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
@@ -404,10 +407,17 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
         if askers.is_empty() {
             return; // line 29 (no askers: do nothing this round)
         }
-        // Line 30: read R_i of every process.
-        let r_all: Vec<WitnessSet<V>> = self.shared.witness.iter().map(ReadPort::read).collect();
-        // Lines 31-33, each qualifying value R_j lacks in one RMW.
-        let r_j = witness_update(&self.witness_w, r_all, self.j - 1, self.env.f());
+        let r_j = if self.inputs.moved(self.shared.witness.iter().map(ReadPort::version)) {
+            // Line 30: read R_i of every process.
+            let r_all: Vec<WitnessSet<V>> =
+                self.shared.witness.iter().map(ReadPort::read).collect();
+            // Lines 31-33, each qualifying value R_j lacks in one RMW.
+            witness_update(&self.witness_w, r_all, self.j - 1, self.env.f())
+        } else {
+            // No R_i moved since the last run of lines 30-33, which left
+            // nothing to add: rerunning them would return R_j unchanged.
+            self.witness_w.read()
+        };
         // Lines 34-36: help each asker.
         self.tracker.serve(&self.replies_w, &ck, &askers, &r_j);
     }
@@ -416,38 +426,90 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Loads;
     use byzreg_runtime::{Scheduling, System};
 
-    /// One help tick of `p3` on a fixed `n = 4` fixture: `p_i`'s witness
-    /// set is `sets[i - 1]` and reader `p2` has one pending round. Returns
-    /// the gate steps of the tick, then `R_3` and `p3`'s reply to `p2`.
+    /// Helper `p3`'s `Help()` task on a fixed `n = 4` fixture whose
+    /// registers count their loads: `p_i`'s witness set is `sets[i - 1]`
+    /// and reader `p2` has one pending round.
+    struct Fixture {
+        system: System,
+        loads: Loads,
+        task: HelpTask1<u32>,
+        shared: SharedPorts<u32>,
+        witness_w: Vec<WritePort<WitnessSet<u32>>>,
+        fabric: QuorumFabric<WitnessSet<u32>>,
+    }
+
+    impl Fixture {
+        fn new(sets: [&[u32]; 4]) -> Self {
+            let (system, loads) = (System::builder(4).build(), Loads::default());
+            let env = system.env();
+            let pid = |i: usize| ProcessId::new(i);
+            let (_, r_star) = loads.create(env, pid(1), "R*".into(), 0u32);
+            let (witness_w, witness): (Vec<_>, Vec<_>) = (1..=4)
+                .map(|i| {
+                    let set = sets[i - 1].iter().copied().collect();
+                    loads.create(env, pid(i), format!("R[{i}]"), set)
+                })
+                .unzip();
+            let fabric = QuorumFabric::install(env, &loads, &Roles::identity(4), BTreeSet::new());
+            let shared = SharedPorts { r_star, witness, fabric: fabric.view.clone() };
+            let task = HelpTask1 {
+                env: env.clone(),
+                j: 3,
+                shared: shared.clone(),
+                witness_w: witness_w[2].clone(),
+                replies_w: fabric.ports[2].replies.clone(),
+                tracker: AskerTracker::new(3),
+                inputs: Inputs::default(),
+            };
+            let fixture = Fixture { system, loads, task, shared, witness_w, fabric };
+            fixture.ask(1);
+            fixture
+        }
+
+        /// Reader `p2` starts asker round `ck`.
+        fn ask(&self, ck: u64) {
+            self.fabric.ports[1].asker.as_ref().unwrap().write(ck);
+        }
+
+        /// One tick of `p3`; returns its gate steps.
+        fn tick(&mut self) -> u64 {
+            let env = self.system.env();
+            let before = env.gate().steps();
+            env.run_as(ProcessId::new(3), || byzreg_runtime::HelpTask::tick(&mut self.task));
+            env.gate().steps() - before
+        }
+    }
+
+    /// One help tick of `p3` on [`Fixture::new`]`(sets)`. Returns the gate
+    /// steps of the tick, then `R_3` and `p3`'s reply to `p2`.
     fn tick_p3(sets: [&[u32]; 4]) -> (u64, WitnessSet<u32>, Reply<u32>) {
-        let system = System::builder(4).build();
-        let env = system.env();
-        let pid = |i: usize| ProcessId::new(i);
-        let (_, r_star) = byzreg_runtime::swmr(env.gate(), pid(1), "R*", 0u32);
-        let (witness_w, witness): (Vec<_>, Vec<_>) = (1..=4)
-            .map(|i| {
-                let set = sets[i - 1].iter().copied().collect();
-                byzreg_runtime::swmr(env.gate(), pid(i), format!("R[{i}]"), set)
-            })
-            .unzip();
-        let fabric =
-            QuorumFabric::install(env, &LocalFactory, &Roles::identity(4), BTreeSet::new());
-        let shared = SharedPorts { r_star, witness, fabric: fabric.view.clone() };
-        let mut task = HelpTask1 {
-            env: env.clone(),
-            j: 3,
-            shared: shared.clone(),
-            witness_w: witness_w[2].clone(),
-            replies_w: fabric.ports[2].replies.clone(),
-            tracker: AskerTracker::new(3),
-        };
-        fabric.ports[1].asker.as_ref().unwrap().write(1);
-        let before = env.gate().steps();
-        env.run_as(pid(3), || byzreg_runtime::HelpTask::tick(&mut task));
-        let steps = env.gate().steps() - before;
+        let mut fixture = Fixture::new(sets);
+        let steps = fixture.tick();
+        let shared = &fixture.shared;
         (steps, shared.witness[2].read(), shared.fabric.replies[2][0].read())
+    }
+
+    #[test]
+    fn help_tick_with_unmoved_inputs_reads_only_its_own_register() {
+        let mut fixture = Fixture::new([&[5], &[5, 7], &[5, 7], &[7]]);
+        assert_eq!(fixture.tick(), 8, "the first tick runs lines 30-33");
+        // A new round with no R_i moved: one C_2 read, one read of R_3 (its
+        // own register), one reply write.
+        fixture.ask(2);
+        let before = fixture.loads.all();
+        assert_eq!(fixture.tick(), 3);
+        let read = fixture.loads.since(&before);
+        assert_eq!(read, [("C[2]".to_owned(), 1), ("R[3]".to_owned(), 1)].into());
+        assert_eq!(fixture.shared.fabric.replies[2][0].read(), ([5, 7].into(), 2));
+        // Once some R_i moves, the next tick reads every R_i again.
+        fixture.witness_w[3].write([7, 9].into());
+        fixture.ask(3);
+        let before = fixture.loads.all();
+        assert_eq!(fixture.tick(), 6);
+        assert_eq!(fixture.loads.since(&before).len(), 5, "C_2 and the four R_i");
     }
 
     #[test]

@@ -22,8 +22,15 @@
 //! read-modify-write as a single step, which exactly recovers the paper's
 //! sequential-process semantics without giving readers or other processes
 //! any additional power.
+//!
+//! # Write versions
+//!
+//! Every register counts its completed writes ([`ReadPort::version`]), so a
+//! reader that polls a register in a loop can skip a re-read that would
+//! return what it already saw.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -68,10 +75,30 @@ impl<T: Clone + Send + Sync> CellBackend<T> for LocalCell<T> {
 }
 
 struct Cell<T> {
-    name: String,
+    /// Boxed rather than a `String`: the eight bytes saved pay for `version`.
+    name: Box<str>,
     owner: ProcessId,
     value: Box<dyn CellBackend<T>>,
     gate: Arc<dyn StepGate>,
+    /// The number of completed writes and updates (see [`ReadPort::version`]).
+    version: AtomicU64,
+}
+
+impl<T> Cell<T> {
+    fn new(
+        gate: Arc<dyn StepGate>,
+        owner: ProcessId,
+        name: String,
+        value: Box<dyn CellBackend<T>>,
+    ) -> Arc<Self> {
+        let name = name.into_boxed_str();
+        Arc::new(Cell { name, owner, value, gate, version: AtomicU64::new(0) })
+    }
+
+    /// Counts a write whose backend access has returned.
+    fn bump(&self) {
+        self.version.fetch_add(1, Ordering::Release);
+    }
 }
 
 /// The owner's handle to a SWMR register.
@@ -103,7 +130,10 @@ impl<T> Clone for ReadPort<T> {
 impl<T: Clone + Send + Sync + 'static> WritePort<T> {
     /// Atomically writes `v` into the register (one step).
     pub fn write(&self, v: T) {
-        gate::step(&self.cell.gate, || self.cell.value.store(v));
+        gate::step(&self.cell.gate, || {
+            self.cell.value.store(v);
+            self.cell.bump();
+        });
     }
 
     /// Reads the register (one step). Owners may read their own registers.
@@ -121,6 +151,7 @@ impl<T: Clone + Send + Sync + 'static> WritePort<T> {
         gate::step(&self.cell.gate, || {
             let mut out = None;
             self.cell.value.rmw(Box::new(|v| out = Some(f(v))));
+            self.cell.bump();
             out.expect("rmw closure ran")
         })
     }
@@ -149,6 +180,36 @@ impl<T: Clone + Send + Sync + 'static> ReadPort<T> {
     #[must_use]
     pub fn read(&self) -> T {
         gate::step(&self.cell.gate, || self.cell.value.load())
+    }
+
+    /// The register's write version: how many [`WritePort::write`]s and
+    /// [`WritePort::update`]s have completed. Not a step.
+    ///
+    /// A reader that samples the version, reads, and later samples the same
+    /// version again may skip the re-read: it would return what the first
+    /// read returned. Why that is sound:
+    ///
+    /// * The version is bumped inside the write's step, **after** the
+    ///   backend's `store`/`rmw` returned. So every write that has completed
+    ///   has bumped it, and any write the sample does not count was still in
+    ///   progress at the sample.
+    /// * The reader samples the version **before** it reads. A write
+    ///   counted by the first sample finished before the read began, so the
+    ///   read saw it or a later value. A write that completes later bumps the
+    ///   version and forces the next read.
+    /// * Only a [`WritePort`] changes a register made by [`swmr`] or by a
+    ///   factory over [`custom_swmr`] whose backend is reached through no
+    ///   other handle (`LocalFactory`, and `byzreg-mp`'s `MpFactory`, which
+    ///   hands out no Byzantine endpoint). So the version sees every change a
+    ///   reader could observe.
+    ///
+    /// Skipping is therefore the same as issuing the re-read later, which
+    /// asynchrony already allows: a polling loop that acts only on content
+    /// it has not seen behaves as in a run where that read was delayed, and
+    /// the write that moves the version makes it read again.
+    #[must_use]
+    pub fn version(&self) -> u64 {
+        self.cell.version.load(Ordering::Acquire)
     }
 
     /// The owning (writing) process.
@@ -188,12 +249,7 @@ pub fn swmr<T: Clone + Send + Sync + 'static>(
     name: impl Into<String>,
     init: T,
 ) -> (WritePort<T>, ReadPort<T>) {
-    let cell = Arc::new(Cell {
-        name: name.into(),
-        owner,
-        value: Box::new(LocalCell(RwLock::new(init))),
-        gate,
-    });
+    let cell = Cell::new(gate, owner, name.into(), Box::new(LocalCell(RwLock::new(init))));
     (WritePort { cell: Arc::clone(&cell) }, ReadPort { cell })
 }
 
@@ -206,7 +262,7 @@ pub fn custom_swmr<T: Clone + Send + Sync + 'static>(
     name: impl Into<String>,
     backend: Box<dyn CellBackend<T>>,
 ) -> (WritePort<T>, ReadPort<T>) {
-    let cell = Arc::new(Cell { name: name.into(), owner, value: backend, gate });
+    let cell = Cell::new(gate, owner, name.into(), backend);
     (WritePort { cell: Arc::clone(&cell) }, ReadPort { cell })
 }
 
@@ -265,6 +321,49 @@ mod tests {
         assert_eq!(r.owner(), ProcessId::new(4));
         assert_eq!(w.name(), "E[4]");
         assert_eq!(format!("{r:?}"), "ReadPort(E[4] owned by p4)");
+    }
+
+    #[test]
+    fn writes_and_updates_bump_the_version_reads_and_clones_do_not() {
+        let (w, r) = swmr(gate(), ProcessId::new(1), "R", 0u32);
+        assert_eq!(r.version(), 0);
+        let (_, _) = (w.read(), r.read());
+        let (w2, r2) = (w.clone(), r.clone());
+        assert_eq!((r.version(), w.read_port().version()), (0, 0), "reads and clones");
+        w.write(1);
+        assert_eq!(r.version(), 1, "write");
+        w2.update(|x| *x += 1);
+        assert_eq!(r2.version(), 2, "update, seen through every clone");
+        w.update(|_| ()); // an update that changes nothing still counts
+        assert_eq!(r.version(), 3);
+    }
+
+    #[test]
+    fn the_version_counts_custom_backend_writes_once_each() {
+        use std::sync::atomic::AtomicUsize;
+        struct Counting(RwLock<u32>, Arc<AtomicUsize>);
+        impl CellBackend<u32> for Counting {
+            fn load(&self) -> u32 {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                *self.0.read()
+            }
+            fn store(&self, v: u32) {
+                *self.0.write() = v;
+            }
+            fn rmw(&self, f: Box<dyn FnOnce(&mut u32) + '_>) -> u32 {
+                let mut g = self.0.write();
+                f(&mut g);
+                *g
+            }
+        }
+        let loads = Arc::new(AtomicUsize::new(0));
+        let backend = Box::new(Counting(RwLock::new(0), Arc::clone(&loads)));
+        let (w, r) = custom_swmr(gate(), ProcessId::new(2), "C", backend);
+        w.write(4);
+        w.update(|x| *x += 1);
+        assert_eq!((r.version(), loads.load(Ordering::SeqCst)), (2, 0), "version is no load");
+        assert_eq!(r.read(), 5);
+        assert_eq!((r.version(), loads.load(Ordering::SeqCst)), (2, 1));
     }
 
     #[test]

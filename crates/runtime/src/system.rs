@@ -551,6 +551,9 @@ impl System {
     }
 
     /// Spawns an adversary thread acting as the Byzantine process `pid`.
+    /// The thread calls `behavior.tick()` until it returns `false` or the
+    /// system shuts down, taking an idle step and yielding its core after
+    /// each tick.
     ///
     /// # Panics
     ///
@@ -571,6 +574,10 @@ impl System {
                         break;
                     }
                     gate::idle_step(&env.gate());
+                    // An attack loop never blocks: without a yield it holds
+                    // its core for a whole scheduler slice, starving the
+                    // correct threads it attacks.
+                    std::thread::yield_now();
                 }
             })
             .expect("spawn byzantine actor");
