@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use byzreg_core::sticky::{AttackPorts, StickyRegister};
 use byzreg_core::{StickyReader, StickyWriter};
-use byzreg_runtime::{ProcessId, Result, System};
+use byzreg_runtime::{LocalFactory, ProcessId, Result, System};
 
 /// One non-equivocating broadcast instance: a sticky register per sender.
 pub struct NonEquivocatingBroadcast<M> {
@@ -23,7 +23,7 @@ pub struct NonEquivocatingBroadcast<M> {
 }
 
 impl<M: byzreg_runtime::Value> NonEquivocatingBroadcast<M> {
-    /// Installs the object on `system` (one sticky register per process).
+    /// Installs the object on `system` (one sticky register per process, on one help shard).
     ///
     /// # Panics
     ///
@@ -31,8 +31,9 @@ impl<M: byzreg_runtime::Value> NonEquivocatingBroadcast<M> {
     #[must_use]
     pub fn install(system: &System) -> Self {
         let n = system.env().n();
-        let registers = (1..=n)
-            .map(|s| StickyRegister::install_for_writer(system, ProcessId::new(s)))
+        let shard = system.new_help_shard();
+        let registers = ProcessId::all(n)
+            .map(|s| StickyRegister::install_in_shard(system, &LocalFactory, &shard, s))
             .collect();
         NonEquivocatingBroadcast { registers, n }
     }

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use byzreg_core::sticky::StickyRegister;
 use byzreg_core::{StickyReader, StickyWriter};
-use byzreg_runtime::{ProcessId, Result, System};
+use byzreg_runtime::{LocalFactory, ProcessId, Result, System};
 
 /// FIFO Byzantine reliable broadcast with a bounded number of slots per
 /// sender (slots are pre-allocated sticky registers).
@@ -34,7 +34,7 @@ pub struct ReliableBroadcast<M> {
 }
 
 impl<M: byzreg_runtime::Value> ReliableBroadcast<M> {
-    /// Installs the object with `slots` broadcast slots per sender.
+    /// Installs the object with `slots` broadcast slots per sender, on one help shard.
     ///
     /// # Panics
     ///
@@ -42,13 +42,10 @@ impl<M: byzreg_runtime::Value> ReliableBroadcast<M> {
     #[must_use]
     pub fn install(system: &System, slots: usize) -> Self {
         let n = system.env().n();
-        let registers = (1..=n)
-            .map(|s| {
-                (0..slots)
-                    .map(|_| StickyRegister::install_for_writer(system, ProcessId::new(s)))
-                    .collect()
-            })
-            .collect();
+        let shard = system.new_help_shard();
+        let install = |s| StickyRegister::install_in_shard(system, &LocalFactory, &shard, s);
+        let registers =
+            ProcessId::all(n).map(|s| (0..slots).map(|_| install(s)).collect()).collect();
         ReliableBroadcast { registers, n, slots }
     }
 
@@ -126,17 +123,10 @@ impl<M: byzreg_runtime::Value> RbEndpoint<M> {
     pub fn try_deliver(&mut self, sender: ProcessId) -> Result<Option<(usize, M)>> {
         let next = self.next_deliver.entry(sender).or_insert(0);
         let readers = self.readers.get_mut(&sender).expect("not own slot");
-        if *next >= readers.len() {
-            return Ok(None);
-        }
-        match readers[*next].read()? {
-            Some(m) => {
-                let slot = *next;
-                *next += 1;
-                Ok(Some((slot, m)))
-            }
-            None => Ok(None),
-        }
+        let Some(reader) = readers.get_mut(*next) else { return Ok(None) };
+        let Some(m) = reader.read()? else { return Ok(None) };
+        *next += 1;
+        Ok(Some((*next - 1, m)))
     }
 
     /// Drains every currently deliverable message from `sender`.

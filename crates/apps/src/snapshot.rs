@@ -17,7 +17,7 @@
 
 use byzreg_core::authenticated::AuthenticatedRegister;
 use byzreg_core::{AuthenticatedReader, AuthenticatedWriter};
-use byzreg_runtime::{ProcessId, Result, System};
+use byzreg_runtime::{LocalFactory, ProcessId, Result, System};
 
 /// A cell value: `(sequence, value)` — the sequence keeps successive updates
 /// by the same process distinct so double collects detect motion.
@@ -31,7 +31,7 @@ pub struct AtomicSnapshot<V: Ord> {
 }
 
 impl<V: byzreg_runtime::Value> AtomicSnapshot<V> {
-    /// Installs the object with every segment initialized to `v0`.
+    /// Installs the object with every segment initialized to `v0`, on one help shard.
     ///
     /// # Panics
     ///
@@ -39,12 +39,15 @@ impl<V: byzreg_runtime::Value> AtomicSnapshot<V> {
     #[must_use]
     pub fn install(system: &System, v0: V) -> Self {
         let n = system.env().n();
-        let cells = (1..=n)
+        let shard = system.new_help_shard();
+        let cells = ProcessId::all(n)
             .map(|i| {
-                AuthenticatedRegister::install_for_writer(
+                AuthenticatedRegister::install_in_shard(
                     system,
                     (0, v0.clone()),
-                    ProcessId::new(i),
+                    &LocalFactory,
+                    &shard,
+                    i,
                 )
             })
             .collect();
@@ -125,7 +128,7 @@ impl<V: byzreg_runtime::Value> SnapshotHandle<V> {
         for _ in 0..retries {
             let current = self.collect()?;
             if current == previous {
-                return Ok(current.into_iter().map(|(_, v)| v).collect());
+                break;
             }
             previous = current;
         }

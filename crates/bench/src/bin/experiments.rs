@@ -7,6 +7,9 @@
 //! cargo run --release -p byzreg-bench --bin experiments          # all
 //! cargo run --release -p byzreg-bench --bin experiments -- e1   # one
 //! ```
+//!
+//! Ids are `e1`..`e7` and `b`; any other argument prints the valid ids to
+//! stderr and exits with status 2.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
@@ -35,8 +38,15 @@ use byzreg_spec::monitors::{
 };
 use byzreg_spec::registers::{AuthenticatedSpec, TestOrSetSpec, VerifiableSpec};
 
+/// The ids the driver accepts as its one optional argument.
+const IDS: [&str; 9] = ["all", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "b"];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    if !IDS.contains(&arg.as_str()) {
+        eprintln!("unknown experiment id {arg:?}; valid ids: {}", IDS.join(" "));
+        std::process::exit(2);
+    }
     let run = |id: &str| arg == "all" || arg == id;
     println!("byzreg experiment driver — reproduction of Hu & Toueg, PODC 2025");
     println!("================================================================\n");
@@ -61,7 +71,7 @@ fn main() {
     if run("e7") {
         e7_applications();
     }
-    if run("b") || arg == "all" {
+    if run("b") {
         b_latency_summary();
     }
 }
@@ -528,7 +538,9 @@ fn e6_message_passing() {
     // Algorithm 1 composed over the MP factory.
     let system = System::builder(4).build();
     let factory = MpFactory::default();
-    let reg = VerifiableRegister::install_with(&system, 0u32, &factory);
+    let shard = system.new_help_shard();
+    let reg =
+        VerifiableRegister::install_in_shard(&system, 0u32, &factory, &shard, ProcessId::new(1));
     let mut w = reg.writer();
     let mut r = reg.reader(ProcessId::new(2));
     w.write(7).unwrap();

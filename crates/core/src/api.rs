@@ -46,7 +46,7 @@
 use std::collections::BTreeSet;
 
 use byzreg_runtime::{
-    Env, HelpShard, HistoryLog, ProcessId, RegisterFactory, Result, System, Value,
+    Env, HelpShard, LocalFactory, ProcessId, RegisterFactory, Result, System, Value,
 };
 
 use crate::quorum::{verify_groups, EngineParts};
@@ -65,17 +65,6 @@ fn verify_fused_parts<V: Value, R>(
 ) -> Result<Vec<Vec<bool>>> {
     let groups: Vec<_> = groups.iter().map(|&(r, vs)| (parts(r), vs)).collect();
     verify_groups(env, &groups)
-}
-
-/// Turns a trait-path install's history log off: the trait has no
-/// `history()`, so nothing could ever read it, and a recording log would
-/// grow by two events and two ticks of the system's shared clock per op.
-macro_rules! unrecorded {
-    ($install:expr) => {{
-        let mut register = $install;
-        register.log = HistoryLog::off();
-        register
-    }};
 }
 
 /// The three register families of the paper, for labeling generic output.
@@ -178,9 +167,8 @@ pub trait SignatureVerifier<V: Value>: Send {
     /// Checks decided through a fused run are not recorded in any
     /// instance's operation history: the history log is per-instance
     /// (diagnostics and spec monitors), while a fused run spans many. Only
-    /// registers built with a family's inherent constructors (`install`,
-    /// `install_with`, `install_in_shard`, …) record at all; an install
-    /// through this trait, the keyed store's path included, records
+    /// a register built by its family's inherent `install` records at all;
+    /// every other install, the keyed store's path included, records
     /// nothing (`HistoryLog::off`).
     ///
     /// # Errors
@@ -204,39 +192,32 @@ pub trait SignatureRegister<V: Value>: Sized + Send + Sync + 'static {
     /// Which family this is (for labels in generic harnesses).
     const FAMILY: Family;
 
-    /// Installs the register on `system` with in-process base registers.
+    /// Installs the register on `system` with in-process base registers, a
+    /// help shard of its own and `p1` as the writer.
     ///
     /// # Panics
     ///
     /// Panics if `n <= 3f` (Theorem 31).
     fn install_default(system: &System, v0: V) -> Self {
-        Self::install_with_factory(system, v0, &byzreg_runtime::LocalFactory)
+        let shard = system.new_help_shard();
+        Self::install_in_shard(system, v0, &LocalFactory, &shard, ProcessId::new(1))
     }
 
-    /// Installs the register with base registers from `factory` (e.g. the
-    /// message-passing emulation of `byzreg-mp`), on a fresh help shard of
-    /// its own.
+    /// Installs the register with `writer` playing the writer role, base
+    /// registers from `factory` (e.g. the message-passing emulation of
+    /// `byzreg-mp`) and its `Help()` tasks hosted on the demand-driven help
+    /// shard `shard` (see `byzreg_runtime::HelpShard`): helpers tick only
+    /// while an operation that depends on them is in flight on one of the
+    /// shard's instances, and a shard with nothing pending parks. This is
+    /// the one install path, the family's inherent `install_in_shard`: the
+    /// keyed store installs every key under the key's shard, an application
+    /// object puts all its per-sender registers on one shard, and
+    /// [`install_default`](SignatureRegister::install_default) gets a shard
+    /// of its own.
     ///
-    /// # Panics
-    ///
-    /// Panics if `n <= 3f`.
-    fn install_with_factory<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        Self::install_in_shard(system, v0, factory, &system.new_help_shard())
-    }
-
-    /// Installs the register with its `Help()` tasks hosted on the
-    /// demand-driven help shard `shard` (see `byzreg_runtime::HelpShard`):
-    /// helpers tick only while an operation that depends on them is in
-    /// flight on one of the shard's instances, and a shard with nothing
-    /// pending parks. This is the one install path: the keyed store
-    /// installs every key under the key's shard, and a standalone install
-    /// ([`install_with_factory`](SignatureRegister::install_with_factory))
-    /// gets a shard of its own.
-    ///
-    /// Nothing can read an operation history through this trait, so the
-    /// installed register records none (`HistoryLog::off`): its operations
-    /// append no events and never tick the system's clock. Install with the
-    /// family's inherent constructor to record one.
+    /// The installed register records no operation history
+    /// (`HistoryLog::off`): its operations append no events and never tick
+    /// the system's clock. The family's inherent `install` records one.
     ///
     /// # Panics
     ///
@@ -246,6 +227,7 @@ pub trait SignatureRegister<V: Value>: Sized + Send + Sync + 'static {
         v0: V,
         factory: &F,
         shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self;
 
     /// The unique writer handle.
@@ -277,8 +259,9 @@ impl<V: Value> SignatureRegister<V> for VerifiableRegister<V> {
         v0: V,
         factory: &F,
         shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self {
-        unrecorded!(VerifiableRegister::install_in_shard(system, v0, factory, shard))
+        VerifiableRegister::install_in_shard(system, v0, factory, shard, writer)
     }
 
     fn signer(&self) -> Self::Signer {
@@ -336,8 +319,9 @@ impl<V: Value> SignatureRegister<V> for AuthenticatedRegister<V> {
         v0: V,
         factory: &F,
         shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self {
-        unrecorded!(AuthenticatedRegister::install_in_shard(system, v0, factory, shard))
+        AuthenticatedRegister::install_in_shard(system, v0, factory, shard, writer)
     }
 
     fn signer(&self) -> Self::Signer {
@@ -399,8 +383,9 @@ impl<V: Value> SignatureRegister<V> for StickyRegister<V> {
         _v0: V,
         factory: &F,
         shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self {
-        unrecorded!(StickyRegister::install_in_shard(system, factory, shard))
+        StickyRegister::install_in_shard(system, factory, shard, writer)
     }
 
     fn signer(&self) -> Self::Signer {
@@ -509,11 +494,10 @@ mod tests {
         system.shutdown();
     }
 
-    /// Runs one write, sign, read and verify on a trait-path install and returns
-    /// how far they moved the system's history clock.
-    fn clock_ticks_of_ops<R: SignatureRegister<u32>>(system: &System) -> u64 {
+    /// Runs one write, sign, read and verify on `reg` and returns how far
+    /// they moved the system's history clock.
+    fn clock_ticks_of_ops<R: SignatureRegister<u32>>(system: &System, reg: R) -> u64 {
         let clock = system.env().clock();
-        let reg = R::install_default(system, 0);
         let mut w = reg.signer();
         let mut r = reg.verifier(ProcessId::new(2));
         let before = clock.now();
@@ -524,17 +508,31 @@ mod tests {
         clock.now() - before
     }
 
+    /// Neither `install_default` nor the inherent `install_in_shard`
+    /// (`inherent`, given a fresh shard) records: their ops leave the clock
+    /// alone.
+    fn records_nothing<R: SignatureRegister<u32>>(
+        system: &System,
+        inherent: impl FnOnce(&HelpShard) -> R,
+    ) {
+        let reg = R::install_default(system, 0);
+        assert_eq!(clock_ticks_of_ops(system, reg), 0, "{}: install_default", R::FAMILY);
+        let reg = inherent(&system.new_help_shard());
+        assert_eq!(clock_ticks_of_ops(system, reg), 0, "{}: install_in_shard", R::FAMILY);
+    }
+
     #[test]
     fn trait_installs_record_nothing_and_leave_the_clock_alone() {
         let system = System::builder(4).build();
-        assert_eq!(clock_ticks_of_ops::<VerifiableRegister<u32>>(&system), 0);
-        assert_eq!(clock_ticks_of_ops::<AuthenticatedRegister<u32>>(&system), 0);
-        assert_eq!(clock_ticks_of_ops::<StickyRegister<u32>>(&system), 0);
+        let (s, p3) = (&system, ProcessId::new(3));
+        records_nothing(s, |h| VerifiableRegister::install_in_shard(s, 0, &LocalFactory, h, p3));
+        records_nothing(s, |h| AuthenticatedRegister::install_in_shard(s, 0, &LocalFactory, h, p3));
+        records_nothing(s, |h| StickyRegister::install_in_shard(s, &LocalFactory, h, p3));
         let reg =
             <AuthenticatedRegister<u32> as SignatureRegister<u32>>::install_default(&system, 0);
         reg.signer().write_value(1).unwrap();
         assert!(reg.history().is_empty());
-        // The inherent constructors still record, stamped by the clock.
+        // The inherent `install` records, stamped by the clock.
         let reg = AuthenticatedRegister::install(&system, 0u32);
         let before = system.env().clock().now();
         reg.writer().write(1).unwrap();

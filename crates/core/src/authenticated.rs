@@ -126,50 +126,36 @@ pub struct AuthenticatedRegister<V: Ord> {
     core: Instance<WitnessSet<V>, Own<V>>,
     v0: V,
     shared: SharedPorts<V>,
-    /// The operation log every handle records into; off for trait-path
-    /// installs (see `api::SignatureRegister::install_in_shard`).
-    pub(crate) log: HistoryLog<AuthInv<V>, AuthResp<V>>,
+    /// The operation log every handle records into; it records only on an
+    /// instance built by `install`.
+    log: HistoryLog<AuthInv<V>, AuthResp<V>>,
 }
 
 impl<V: Value> AuthenticatedRegister<V> {
-    /// Installs the register on `system` with initial value `v0` and attaches
-    /// the `Help()` task of every correct process.
+    /// Installs the register on `system` with initial value `v0` and `p1` as
+    /// the writer, on in-process base registers and a help shard of its own,
+    /// recording every operation into
+    /// [`history`](AuthenticatedRegister::history).
     ///
     /// # Panics
     ///
     /// Panics if `n <= 3f` (Theorem 31).
     pub fn install(system: &System, v0: V) -> Self {
-        Self::install_with(system, v0, &LocalFactory)
+        let shard = system.new_help_shard();
+        let mut register =
+            Self::install_in_shard(system, v0, &LocalFactory, &shard, ProcessId::new(1));
+        register.log = HistoryLog::new(system.env().clock());
+        register
     }
 
-    /// Installs the register with `writer` playing the writer role (used by
-    /// objects that keep one authenticated cell per process, such as the
-    /// atomic snapshot of `byzreg-apps`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n <= 3f`.
-    pub fn install_for_writer(system: &System, v0: V, writer: ProcessId) -> Self {
-        let roles = Roles::with_writer(system.env().n(), writer);
-        Self::install_impl(system, v0, &LocalFactory, roles, &system.new_help_shard())
-    }
-
-    /// Like [`AuthenticatedRegister::install`], but sourcing base registers
-    /// from `factory` (e.g. a message-passing emulation, experiment E6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n <= 3f`.
-    pub fn install_with<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        Self::install_in_shard(system, v0, factory, &system.new_help_shard())
-    }
-
-    /// Like [`AuthenticatedRegister::install_with`], but hosts the
-    /// instance's `Help()` tasks on the demand-driven help shard `shard`
-    /// (see `byzreg_runtime::HelpShard`) instead of a fresh shard of its
-    /// own: helpers tick only while a quorum operation on one of the
-    /// shard's instances is in flight. The keyed store partitions its
-    /// keys' helping by store shard through this.
+    /// Installs the register with initial value `v0` and `writer` playing
+    /// the writer role (objects that keep one cell per process, such as the
+    /// atomic snapshot of `byzreg-apps`, place each cell's writer so),
+    /// sourcing base registers from `factory` (e.g. a message-passing
+    /// emulation, experiment E6) and hosting its `Help()` tasks on the
+    /// demand-driven help shard `shard` (see `byzreg_runtime::HelpShard`):
+    /// helpers tick only while a quorum operation on one of the shard's
+    /// instances is in flight. Records no history.
     ///
     /// # Panics
     ///
@@ -179,21 +165,12 @@ impl<V: Value> AuthenticatedRegister<V> {
         v0: V,
         factory: &F,
         shard: &HelpShard,
-    ) -> Self {
-        let roles = Roles::identity(system.env().n());
-        Self::install_impl(system, v0, factory, roles, shard)
-    }
-
-    pub(crate) fn install_impl<F: RegisterFactory>(
-        system: &System,
-        v0: V,
-        factory: &F,
-        roles: Roles,
-        shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self {
         let env = system.env().clone();
         env.require_n_gt_3f();
         let n = env.n();
+        let roles = Roles::with_writer(n, writer);
 
         // R1: writer's tuple set; initially {⟨0, v0⟩} (line "shared registers").
         let mut init = BTreeSet::new();
@@ -230,7 +207,7 @@ impl<V: Value> AuthenticatedRegister<V> {
             tracker: AskerTracker::new(n - 1),
             inputs: Inputs::default(),
         });
-        AuthenticatedRegister { core, v0, shared, log: HistoryLog::new(env.clock()) }
+        AuthenticatedRegister { core, v0, shared, log: HistoryLog::off() }
     }
 
     /// The process playing the writer role.

@@ -89,50 +89,34 @@ pub struct StickyRegister<V> {
     /// helpers running.
     core: Instance<Slot<V>, Own<V>>,
     shared: SharedPorts<V>,
-    /// The operation log every handle records into; off for trait-path
-    /// installs (see `api::SignatureRegister::install_in_shard`).
-    pub(crate) log: HistoryLog<StickyInv<V>, StickyResp<V>>,
+    /// The operation log every handle records into; it records only on an
+    /// instance built by `install`.
+    log: HistoryLog<StickyInv<V>, StickyResp<V>>,
 }
 
 impl<V: Value> StickyRegister<V> {
-    /// Installs the register (initial value `⊥`) and attaches the `Help()`
-    /// task of every correct process.
+    /// Installs the register (initial value `⊥`) with `p1` as the writer, on
+    /// in-process base registers and a help shard of its own, recording
+    /// every operation into [`history`](StickyRegister::history).
     ///
     /// # Panics
     ///
     /// Panics if `n <= 3f` (Theorem 31).
     pub fn install(system: &System) -> Self {
-        Self::install_with(system, &LocalFactory)
+        let shard = system.new_help_shard();
+        let mut register = Self::install_in_shard(system, &LocalFactory, &shard, ProcessId::new(1));
+        register.log = HistoryLog::new(system.env().clock());
+        register
     }
 
-    /// Installs the register with `writer` playing the writer role (used by
-    /// broadcast objects, which keep one sticky register per sender).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n <= 3f`.
-    pub fn install_for_writer(system: &System, writer: ProcessId) -> Self {
-        let roles = Roles::with_writer(system.env().n(), writer);
-        Self::install_impl(system, &LocalFactory, roles, &system.new_help_shard())
-    }
-
-    /// Like [`StickyRegister::install`], but sourcing base registers from
-    /// `factory` (e.g. a message-passing emulation, experiment E6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n <= 3f`.
-    pub fn install_with<F: RegisterFactory>(system: &System, factory: &F) -> Self {
-        Self::install_in_shard(system, factory, &system.new_help_shard())
-    }
-
-    /// Like [`StickyRegister::install_with`], but hosts the instance's
-    /// `Help()` tasks on the demand-driven help shard `shard` (see
-    /// `byzreg_runtime::HelpShard`) instead of a fresh shard of its own:
-    /// helpers tick only while an operation on one of the shard's
-    /// instances — a quorum `Read` or a `Write` waiting for its `n − f`
-    /// witnesses — is in flight. The keyed store partitions its keys'
-    /// helping by store shard through this.
+    /// Installs the register with `writer` playing the writer role
+    /// (broadcast objects keep one sticky register per sender), sourcing
+    /// base registers from `factory` (e.g. a message-passing emulation,
+    /// experiment E6) and hosting its `Help()` tasks on the demand-driven
+    /// help shard `shard` (see `byzreg_runtime::HelpShard`): helpers tick
+    /// only while an operation on one of the shard's instances — a quorum
+    /// `Read` or a `Write` waiting for its `n − f` witnesses — is in
+    /// flight. Records no history.
     ///
     /// # Panics
     ///
@@ -141,20 +125,12 @@ impl<V: Value> StickyRegister<V> {
         system: &System,
         factory: &F,
         shard: &HelpShard,
-    ) -> Self {
-        let roles = Roles::identity(system.env().n());
-        Self::install_impl(system, factory, roles, shard)
-    }
-
-    pub(crate) fn install_impl<F: RegisterFactory>(
-        system: &System,
-        factory: &F,
-        roles: Roles,
-        shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self {
         let env = system.env().clone();
         env.require_n_gt_3f();
         let n = env.n();
+        let roles = Roles::with_writer(n, writer);
 
         let mut echo_w = Vec::with_capacity(n);
         let mut echo = Vec::with_capacity(n);
@@ -187,7 +163,7 @@ impl<V: Value> StickyRegister<V> {
             echoes: Inputs::default(),
             witnesses: Inputs::default(),
         });
-        StickyRegister { core, shared, log: HistoryLog::new(env.clock()) }
+        StickyRegister { core, shared, log: HistoryLog::off() }
     }
 
     /// The process playing the writer role.

@@ -12,6 +12,7 @@ use byzreg_runtime::{
 };
 use parking_lot::{Mutex, RwLock};
 
+use crate::api::SignatureRegister;
 use crate::authenticated::AuthenticatedRegister;
 use crate::quorum::FabricPorts;
 use crate::sticky::StickyRegister;
@@ -100,11 +101,13 @@ impl RegisterFactory for Loads {
     }
 }
 
-/// The `create` calls of one install on an `n = 4` system, space-separated.
-fn inventory(install: impl FnOnce(&System, &Recording)) -> String {
+/// The `create` calls of one `install_in_shard` of `R` with `p{writer}` as
+/// the writer on an `n = 4` system, space-separated.
+fn inventory<R: SignatureRegister<u32>>(writer: usize) -> String {
     let system = System::builder(4).build();
     let factory = Recording::default();
-    install(&system, &factory);
+    let shard = system.new_help_shard();
+    drop(R::install_in_shard(&system, 0, &factory, &shard, ProcessId::new(writer)));
     system.shutdown();
     factory.0.into_inner().join(" ")
 }
@@ -115,7 +118,6 @@ fn inventory(install: impl FnOnce(&System, &Recording)) -> String {
 /// Under `writer = p3` the roles map to processes `[p3, p1, p2, p4]`.
 #[test]
 fn installs_create_the_pinned_base_registers_in_order() {
-    let p3 = ProcessId::new(3);
     let fabric = "R[1,2]@p1 R[1,3]@p1 R[1,4]@p1 R[2,2]@p2 R[2,3]@p2 R[2,4]@p2 \
                   R[3,2]@p3 R[3,3]@p3 R[3,4]@p3 R[4,2]@p4 R[4,3]@p4 R[4,4]@p4 \
                   C[2]@p2 C[3]@p3 C[4]@p4";
@@ -123,26 +125,20 @@ fn installs_create_the_pinned_base_registers_in_order() {
                      R[3,2]@p2 R[3,3]@p2 R[3,4]@p2 R[4,2]@p4 R[4,3]@p4 R[4,4]@p4 \
                      C[2]@p1 C[3]@p2 C[4]@p4";
 
-    let got = inventory(|s, f| drop(VerifiableRegister::install_with(s, 0u32, f)));
+    let got = inventory::<VerifiableRegister<u32>>(1);
     assert_eq!(got, format!("R*@p1 R[1]@p1 R[2]@p2 R[3]@p3 R[4]@p4 {fabric}"));
+    let got = inventory::<VerifiableRegister<u32>>(3);
+    assert_eq!(got, format!("R*@p3 R[1]@p3 R[2]@p1 R[3]@p2 R[4]@p4 {fabric_p3}"));
 
-    let got = inventory(|s, f| drop(AuthenticatedRegister::install_with(s, 0u32, f)));
+    let got = inventory::<AuthenticatedRegister<u32>>(1);
     assert_eq!(got, format!("R1@p1 R[2]@p2 R[3]@p3 R[4]@p4 {fabric}"));
-    let got = inventory(|s, f| {
-        let roles = Roles::with_writer(4, p3);
-        drop(AuthenticatedRegister::install_impl(s, 0u32, f, roles, &s.new_help_shard()));
-    });
+    let got = inventory::<AuthenticatedRegister<u32>>(3);
     assert_eq!(got, format!("R1@p3 R[2]@p1 R[3]@p2 R[4]@p4 {fabric_p3}"));
 
     let sticky = "E[1]@p1 R[1]@p1 E[2]@p2 R[2]@p2 E[3]@p3 R[3]@p3 E[4]@p4 R[4]@p4";
-    let got = inventory(|s, f| drop(StickyRegister::<u32>::install_with(s, f)));
-    assert_eq!(got, format!("{sticky} {fabric}"));
-    let got = inventory(|s, f| {
-        let roles = Roles::with_writer(4, p3);
-        drop(StickyRegister::<u32>::install_impl(s, f, roles, &s.new_help_shard()));
-    });
+    assert_eq!(inventory::<StickyRegister<u32>>(1), format!("{sticky} {fabric}"));
     assert_eq!(
-        got,
+        inventory::<StickyRegister<u32>>(3),
         format!("E[1]@p3 R[1]@p3 E[2]@p1 R[2]@p1 E[3]@p2 R[3]@p2 E[4]@p4 R[4]@p4 {fabric_p3}")
     );
 }
@@ -159,12 +155,17 @@ fn fabric_labels<W: Value>(ports: &FabricPorts<W>) -> Labels {
 }
 
 /// One family's handle surface, as [`handle_rules`] drives it.
-trait Handles: Sized {
-    /// Installs with `writer` in the writer role; `None` if the family
-    /// cannot place its writer there.
-    fn install(system: &System, writer: ProcessId) -> Option<Self>;
-    fn take_writer(&self);
-    fn take_reader(&self, pid: ProcessId);
+trait Handles: SignatureRegister<u32> {
+    /// Installs with `writer` in the writer role.
+    fn install(system: &System, writer: ProcessId) -> Self {
+        Self::install_in_shard(system, 0, &LocalFactory, &system.new_help_shard(), writer)
+    }
+    fn take_writer(&self) {
+        drop(self.signer());
+    }
+    fn take_reader(&self, pid: ProcessId) {
+        drop(self.verifier(pid));
+    }
     /// `attack_ports(pid)`: the family's own write ports, then the fabric's.
     fn attack(&self, pid: ProcessId) -> (Labels, Labels);
     /// The names of the family's own write ports of `role`.
@@ -172,15 +173,6 @@ trait Handles: Sized {
 }
 
 impl Handles for VerifiableRegister<u32> {
-    fn install(system: &System, writer: ProcessId) -> Option<Self> {
-        writer.is_writer().then(|| VerifiableRegister::install(system, 0))
-    }
-    fn take_writer(&self) {
-        drop(self.writer());
-    }
-    fn take_reader(&self, pid: ProcessId) {
-        drop(self.reader(pid));
-    }
     fn attack(&self, pid: ProcessId) -> (Labels, Labels) {
         let ports = self.attack_ports(pid);
         let own = ports.r_star.iter().map(label).chain([label(&ports.witness)]).collect();
@@ -193,15 +185,6 @@ impl Handles for VerifiableRegister<u32> {
 }
 
 impl Handles for AuthenticatedRegister<u32> {
-    fn install(system: &System, writer: ProcessId) -> Option<Self> {
-        Some(AuthenticatedRegister::install_for_writer(system, 0, writer))
-    }
-    fn take_writer(&self) {
-        drop(self.writer());
-    }
-    fn take_reader(&self, pid: ProcessId) {
-        drop(self.reader(pid));
-    }
     fn attack(&self, pid: ProcessId) -> (Labels, Labels) {
         let ports = self.attack_ports(pid);
         let own = ports.r1.iter().map(label).chain(ports.witness.iter().map(label)).collect();
@@ -213,15 +196,6 @@ impl Handles for AuthenticatedRegister<u32> {
 }
 
 impl Handles for StickyRegister<u32> {
-    fn install(system: &System, writer: ProcessId) -> Option<Self> {
-        Some(StickyRegister::install_for_writer(system, writer))
-    }
-    fn take_writer(&self) {
-        drop(self.writer());
-    }
-    fn take_reader(&self, pid: ProcessId) {
-        drop(self.reader(pid));
-    }
     fn attack(&self, pid: ProcessId) -> (Labels, Labels) {
         let ports = self.attack_ports(pid);
         (vec![label(&ports.echo), label(&ports.witness)], fabric_labels(&ports.fabric))
@@ -249,7 +223,7 @@ fn handle_rules<R: Handles>() {
     for writer in [ProcessId::new(1), ProcessId::new(3)] {
         let roles = Roles::with_writer(4, writer);
         let system = System::builder(4).build();
-        let Some(reg) = R::install(&system, writer) else { continue };
+        let reg = R::install(&system, writer);
         let reader = roles.actual(2);
         reg.take_writer();
         assert!(panic_message(|| reg.take_writer()).contains("already taken"));
@@ -263,7 +237,7 @@ fn handle_rules<R: Handles>() {
         for role in 1..=4 {
             let pid = roles.actual(role);
             let system = System::builder(4).byzantine(pid).build();
-            let reg = R::install(&system, writer).unwrap();
+            let reg = R::install(&system, writer);
             let take = || if role == 1 { reg.take_writer() } else { reg.take_reader(pid) };
             assert!(panic_message(take).contains("is Byzantine"));
             let (own, fabric) = reg.attack(pid);

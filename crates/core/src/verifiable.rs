@@ -71,10 +71,10 @@ pub struct SharedPorts<V> {
 pub struct AttackPorts<V> {
     /// Which process these ports belong to.
     pub pid: ProcessId,
-    /// `R*` — present only for the writer `p1`.
+    /// `R*` — present only for the writer.
     pub r_star: Option<WritePort<V>>,
-    /// `R_pid` — the process's witness set (for `p1` this is the "signed
-    /// values" register `R1`).
+    /// `R_pid` — the process's witness set (for the writer this is the
+    /// "signed values" register `R1`).
     pub witness: WritePort<WitnessSet<V>>,
     /// The process's reply row `R_{pid,k}` and, for a reader, `C_pid`.
     pub fabric: FabricPorts<WitnessSet<V>>,
@@ -96,40 +96,34 @@ pub struct VerifiableRegister<V> {
     core: Instance<WitnessSet<V>, Own<V>>,
     v0: V,
     shared: SharedPorts<V>,
-    /// The operation log every handle records into; off for trait-path
-    /// installs (see `api::SignatureRegister::install_in_shard`).
-    pub(crate) log: HistoryLog<VerInv<V>, VerResp<V>>,
+    /// The operation log every handle records into; it records only on an
+    /// instance built by `install`.
+    log: HistoryLog<VerInv<V>, VerResp<V>>,
 }
 
 impl<V: Value> VerifiableRegister<V> {
-    /// Installs the register on `system` with initial value `v0`, wiring all
-    /// base registers and attaching the `Help()` task of every correct
-    /// process.
+    /// Installs the register on `system` with initial value `v0` and `p1` as
+    /// the writer, on in-process base registers and a help shard of its own,
+    /// recording every operation into [`history`](VerifiableRegister::history).
     ///
     /// # Panics
     ///
     /// Panics if `n <= 3f` (Theorem 31: impossible without signatures).
     pub fn install(system: &System, v0: V) -> Self {
-        Self::install_with(system, v0, &LocalFactory)
+        let shard = system.new_help_shard();
+        let mut register =
+            Self::install_in_shard(system, v0, &LocalFactory, &shard, ProcessId::new(1));
+        register.log = HistoryLog::new(system.env().clock());
+        register
     }
 
-    /// Like [`VerifiableRegister::install`], but sourcing base registers
-    /// from `factory` — e.g. `byzreg_mp::MpFactory` to run Algorithm 1 over
-    /// a message-passing system (experiment E6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n <= 3f`.
-    pub fn install_with<F: RegisterFactory>(system: &System, v0: V, factory: &F) -> Self {
-        Self::install_in_shard(system, v0, factory, &system.new_help_shard())
-    }
-
-    /// Like [`VerifiableRegister::install_with`], but hosts the instance's
-    /// `Help()` tasks on the demand-driven help shard `shard` (see
-    /// `byzreg_runtime::HelpShard`) instead of a fresh shard of its own:
+    /// Installs the register with initial value `v0` and `writer` playing
+    /// the writer role, sourcing base registers from `factory` (e.g.
+    /// `byzreg_mp::MpFactory` to run Algorithm 1 over a message-passing
+    /// system, experiment E6) and hosting its `Help()` tasks on the
+    /// demand-driven help shard `shard` (see `byzreg_runtime::HelpShard`):
     /// helpers tick only while a quorum operation on one of the shard's
-    /// instances is in flight. The keyed store partitions its keys'
-    /// helping by store shard through this.
+    /// instances is in flight. Records no history.
     ///
     /// # Panics
     ///
@@ -139,27 +133,28 @@ impl<V: Value> VerifiableRegister<V> {
         v0: V,
         factory: &F,
         shard: &HelpShard,
+        writer: ProcessId,
     ) -> Self {
         let env = system.env().clone();
         env.require_n_gt_3f();
         let n = env.n();
+        let roles = Roles::with_writer(n, writer);
 
         // R*: SWMR register of the writer; initially v0.
-        let (r_star_w, r_star) = factory.create(&env, ProcessId::new(1), "R*".into(), v0.clone());
+        let (r_star_w, r_star) = factory.create(&env, writer, "R*".into(), v0.clone());
 
         // R_i: SWMR witness-set registers; initially ∅.
         let mut witness_w = Vec::with_capacity(n);
         let mut witness = Vec::with_capacity(n);
         for i in 1..=n {
             let (w, r) =
-                factory.create(&env, ProcessId::new(i), format!("R[{i}]"), WitnessSet::<V>::new());
+                factory.create(&env, roles.actual(i), format!("R[{i}]"), WitnessSet::<V>::new());
             witness_w.push(w);
             witness.push(r);
         }
 
         // R_{j,k} reply registers (initially ⟨∅, 0⟩) and C_k round counters:
         // the shared quorum fabric of §5.1.
-        let roles = Roles::identity(n);
         let QuorumFabric { view, ports } =
             QuorumFabric::install(&env, factory, &roles, WitnessSet::<V>::new());
         let shared = SharedPorts { r_star, witness, fabric: view };
@@ -177,7 +172,7 @@ impl<V: Value> VerifiableRegister<V> {
             tracker: AskerTracker::new(n - 1),
             inputs: Inputs::default(),
         });
-        VerifiableRegister { core, v0, shared, log: HistoryLog::new(env.clock()) }
+        VerifiableRegister { core, v0, shared, log: HistoryLog::off() }
     }
 
     /// The initial value `v0`.
@@ -192,17 +187,18 @@ impl<V: Value> VerifiableRegister<V> {
         self.log.clone()
     }
 
-    /// The unique writer handle (process `p1`).
+    /// The unique writer handle.
     ///
     /// # Panics
     ///
-    /// Panics if taken twice, or if `p1` was declared Byzantine (use
+    /// Panics if taken twice, or if the writer was declared Byzantine (use
     /// [`VerifiableRegister::attack_ports`] instead).
     #[must_use]
     pub fn writer(&self) -> VerifiableWriter<V> {
-        let (_, (r1_w, r_star_w)) = self.core.writer();
+        let (pid, (r1_w, r_star_w)) = self.core.writer();
         VerifiableWriter {
             env: self.core.env.clone(),
+            pid,
             r_star_w: r_star_w.expect("writer ports"),
             r1_w,
             written: BTreeSet::new(),
@@ -210,7 +206,7 @@ impl<V: Value> VerifiableRegister<V> {
         }
     }
 
-    /// The reader handle for `pid ∈ {p2, …, pn}`.
+    /// The reader handle for any process other than the writer.
     ///
     /// # Panics
     ///
@@ -254,11 +250,12 @@ impl<V: Value> std::fmt::Debug for VerifiableRegister<V> {
 // Writer handle
 // ---------------------------------------------------------------------------
 
-/// The writer (`p1`) handle of a verifiable register: `Write` and `Sign`.
+/// The writer handle of a verifiable register: `Write` and `Sign`.
 ///
 /// Methods take `&mut self`: a process applies its operations sequentially.
 pub struct VerifiableWriter<V> {
     env: Env,
+    pid: ProcessId,
     r_star_w: WritePort<V>,
     r1_w: WritePort<WitnessSet<V>>,
     /// The local variable `r*` (line 2): values written so far.
@@ -274,12 +271,12 @@ impl<V: Value> VerifiableWriter<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn write(&mut self, v: V) -> Result<()> {
         self.env.check_running()?;
-        let op = self.log.invoke(ProcessId::new(1), VerInv::Write(v.clone()));
-        self.env.run_as(ProcessId::new(1), || {
+        let op = self.log.invoke(self.pid, VerInv::Write(v.clone()));
+        self.env.run_as(self.pid, || {
             self.r_star_w.write(v.clone()); // line 1: R* <- v
         });
         self.written.insert(v); // line 2: r* <- r* ∪ {v}
-        self.log.respond(op, ProcessId::new(1), VerResp::Done); // line 3
+        self.log.respond(op, self.pid, VerResp::Done); // line 3
         Ok(())
     }
 
@@ -290,24 +287,24 @@ impl<V: Value> VerifiableWriter<V> {
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     pub fn sign(&mut self, v: &V) -> Result<bool> {
         self.env.check_running()?;
-        let op = self.log.invoke(ProcessId::new(1), VerInv::Sign(v.clone()));
+        let op = self.log.invoke(self.pid, VerInv::Sign(v.clone()));
         let success = self.written.contains(v); // line 4: v ∈ r*?
         if success {
-            self.env.run_as(ProcessId::new(1), || {
+            self.env.run_as(self.pid, || {
                 // line 5: R1 <- R1 ∪ {v} (owner RMW; one step).
                 self.r1_w.update(|set| {
                     set.insert(v.clone());
                 });
             });
         }
-        self.log.respond(op, ProcessId::new(1), VerResp::SignResult(success));
+        self.log.respond(op, self.pid, VerResp::SignResult(success));
         Ok(success) // lines 6/8
     }
 }
 
 impl<V: Value> std::fmt::Debug for VerifiableWriter<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VerifiableWriter(p1, {} values written)", self.written.len())
+        write!(f, "VerifiableWriter({}, {} values written)", self.pid, self.written.len())
     }
 }
 
@@ -315,7 +312,7 @@ impl<V: Value> std::fmt::Debug for VerifiableWriter<V> {
 // Reader handle
 // ---------------------------------------------------------------------------
 
-/// A reader (`p2..=pn`) handle of a verifiable register: `Read` and `Verify`.
+/// A reader handle of a verifiable register: `Read` and `Verify`.
 pub struct VerifiableReader<V> {
     env: Env,
     pid: ProcessId,
@@ -390,7 +387,7 @@ impl<V: Value> std::fmt::Debug for VerifiableReader<V> {
 
 struct HelpTask1<V: Value> {
     env: Env,
-    /// 1-based process index of the helper.
+    /// 1-based role of the helper.
     j: usize,
     shared: SharedPorts<V>,
     witness_w: WritePort<WitnessSet<V>>,

@@ -43,10 +43,17 @@
 //! the same task under the same lock. Delivery order is decided by the
 //! network alone, so it does not depend on which thread drains.
 //!
-//! State stays bounded by the writes in flight: a node retires a write's
-//! echo/validation state once it can no longer act on it (the safety
-//! argument is on `Node::retire_if_done`), and sends to a declared-Byzantine
-//! node nobody reads are dropped (see [`Endpoint::send`]).
+//! Under correct traffic, per-write state stays bounded by the writes in
+//! flight: a node retires a write's echo/validation state once it can no
+//! longer act on it (the safety argument is on `Node::retire_if_done`), and
+//! sends to a declared-Byzantine node nobody reads are dropped (see
+//! [`Endpoint::send`]). Byzantine traffic is not bounded so: an `Echo` or
+//! `Valid` for an `sn` no correct writer issues creates a per-write entry
+//! that never retires (retiring needs the node to have echoed and validated
+//! `sn`, and the at most `f` Byzantine senders cannot supply the `f + 1`
+//! matching messages either step needs), so such traffic grows node state
+//! by one entry per forged `sn` (pinned by a test below; bounding it is
+//! ROADMAP item 6).
 //!
 //! Liveness caveat: reads are guaranteed to terminate when the writer
 //! eventually pauses — the classic cost of atomic reads without
@@ -1178,6 +1185,39 @@ mod tests {
         assert_eq!(reg.net.sent(), sent, "no new echo or validation for a retired write");
         assert_eq!(retirement(&reg), vec![(0, 2); 3], "retired writes keep no state");
         assert_eq!(r.read(), (2, 5), "reads still return the genuine value");
+        reg.shutdown();
+    }
+
+    /// Pins where the bounded-state claim stops: `Echo`/`Valid` traffic
+    /// for an `sn` no correct writer issues leaves every correct node one
+    /// `WriteState` that never retires (echoing or validating it needs
+    /// `f + 1` matching messages, which one Byzantine sender cannot
+    /// supply), so this state grows by one entry per forged `sn`.
+    #[test]
+    fn byzantine_traffic_for_unissued_sns_leaves_state_that_never_retires() {
+        let mut config = MpConfig::new(4);
+        config.byzantine = vec![ProcessId::new(4)];
+        let reg = MpRegister::spawn(&config, 0u32);
+        let byz = reg.byzantine_endpoint(ProcessId::new(4));
+        const K: u64 = 64;
+        for batch in 1..=2 {
+            for sn in 1_000 + (batch - 1) * K..1_000 + batch * K {
+                byz.broadcast(Msg::Echo { sn, v: 66 });
+                byz.broadcast(Msg::Valid { sn, v: 66 });
+            }
+            drain(&reg.slot);
+            let live = usize::try_from(batch * K).unwrap();
+            assert_eq!(retirement(&reg), vec![(live, 0); 3], "one live entry per forged sn");
+        }
+        let w = reg.client(ProcessId::new(1));
+        w.write(3);
+        assert_eq!(reg.client(ProcessId::new(2)).read(), (1, 3));
+        let live = usize::try_from(2 * K).unwrap();
+        assert_eq!(
+            retirement(&reg),
+            vec![(live, 1); 3],
+            "the genuine write retires, no forged one"
+        );
         reg.shutdown();
     }
 

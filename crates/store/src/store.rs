@@ -174,7 +174,13 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
         }
         self.factory.open_group(help.id() as u64);
         let scope = GroupScope(&self.factory);
-        let register = R::install_in_shard(self.system, self.v0.clone(), &self.factory, help);
+        let register = R::install_in_shard(
+            self.system,
+            self.v0.clone(),
+            &self.factory,
+            help,
+            ProcessId::new(1),
+        );
         drop(scope);
         let signer = Mutex::new(register.signer());
         let e = Arc::new(Entry {

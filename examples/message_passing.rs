@@ -39,7 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== layer 2: Algorithm 1 running unchanged over messages ==");
     let system = System::builder(4).build();
     let factory = MpFactory::default();
-    let verifiable = VerifiableRegister::install_with(&system, 0u64, &factory);
+    let shard = system.new_help_shard();
+    let verifiable =
+        VerifiableRegister::install_in_shard(&system, 0u64, &factory, &shard, ProcessId::new(1));
     println!("installed one verifiable register = {} emulated MP registers", factory.spawned());
 
     let mut w = verifiable.writer();

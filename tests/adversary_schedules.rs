@@ -130,7 +130,8 @@ fn family_under_adversary<R: SignatureRegister<u32>>(name: &str, policy: Adversa
     let system = System::builder(4).build();
     let factory =
         MpFactory::new(NetConfig::jittery(Duration::from_micros(300), 7)).adversarial(policy);
-    let reg = R::install_with_factory(&system, 0, &factory);
+    let reg =
+        R::install_in_shard(&system, 0, &factory, &system.new_help_shard(), ProcessId::new(1));
     let mut w = reg.signer();
     let mut r = reg.verifier(ProcessId::new(2));
 

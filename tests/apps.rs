@@ -91,6 +91,31 @@ fn snapshot_under_concurrent_updates() {
     system.shutdown();
 }
 
+/// Help engines running on a fresh `n`-process system once `install` has
+/// put one application object on it.
+fn help_engines_of<T>(n: usize, install: impl FnOnce(&System) -> T) -> usize {
+    let system = System::builder(n).build();
+    let object = install(&system);
+    let engines = system.help_engine_threads();
+    drop(object);
+    system.shutdown();
+    engines
+}
+
+/// Every application object puts all of its per-sender registers on one
+/// help shard, so it runs on one help engine however many registers it
+/// holds (4, 32, 4 and 112 registers below).
+#[test]
+fn each_app_object_runs_on_one_help_engine() {
+    assert_eq!(help_engines_of(4, NonEquivocatingBroadcast::<u64>::install), 1, "NEB, n = 4");
+    let rb = help_engines_of(4, |s| ReliableBroadcast::<u64>::install(s, 8));
+    assert_eq!(rb, 1, "RB, n = 4, 8 slots");
+    let snapshot = help_engines_of(4, |s| AtomicSnapshot::install(s, 0u64));
+    assert_eq!(snapshot, 1, "snapshot, n = 4");
+    let transfer = help_engines_of(7, |s| AssetTransfer::install(s, 100, 16));
+    assert_eq!(transfer, 1, "asset transfer, n = 7, 16 slots");
+}
+
 /// Asset transfer: a Byzantine account owner cannot double-spend, because
 /// its outgoing transfers are a single agreed FIFO stream.
 #[test]

@@ -108,7 +108,8 @@ fn family_over_message_passing<R: SignatureRegister<u32>>() {
     let fam = R::FAMILY;
     let system = System::builder(4).build();
     let factory = MpFactory::default();
-    let reg = R::install_with_factory(&system, 0, &factory);
+    let reg =
+        R::install_in_shard(&system, 0, &factory, &system.new_help_shard(), ProcessId::new(1));
     assert!(factory.spawned() > 0, "{fam}: base registers must be MP emulations");
     let mut w = reg.signer();
     let mut r = reg.verifier(ProcessId::new(2));
