@@ -51,8 +51,8 @@ use byzreg_runtime::{
 
 use crate::quorum::{verify_groups, EngineParts};
 
-use crate::authenticated::{AuthenticatedReader, AuthenticatedRegister, AuthenticatedWriter};
-use crate::sticky::{read_groups, StickyReader, StickyRegister, StickyWriter};
+use crate::authenticated::{self, AuthenticatedReader, AuthenticatedRegister, AuthenticatedWriter};
+use crate::sticky::{self, StickyReader, StickyRegister, StickyWriter};
 use crate::verifiable::{VerifiableReader, VerifiableRegister, VerifiableWriter};
 
 /// The shared `verify_fused` body of the two families whose readers run
@@ -162,7 +162,9 @@ pub trait SignatureVerifier<V: Value>: Send {
     /// instance, returning one outcome vector per group. All handles must
     /// belong to the same reader of the same system `env`; the caller
     /// enters the step gate as that reader. The keyed store's
-    /// `verify_many` is the consumer.
+    /// `verify_many` (and through it `verify`) is the consumer;
+    /// [`read_fused`](SignatureVerifier::read_fused) is its read
+    /// counterpart.
     ///
     /// Checks decided through a fused run are not recorded in any
     /// instance's operation history: the history log is per-instance
@@ -175,6 +177,50 @@ pub trait SignatureVerifier<V: Value>: Send {
     ///
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>>
+    where
+        Self: Sized;
+
+    /// Reads every reader's register, returning one value per reader, in
+    /// order; `None` is the sticky `⊥`. The quorum-backed reads share
+    /// **one** fused run of the §5.1 engine
+    /// ([`crate::quorum::quorum_groups`]), so a batch over many register
+    /// instances waits for the slowest instance's rounds, not the sum. The
+    /// handles and the caller follow [`verify_fused`]'s rules: one reader
+    /// of `env`, entered into the step gate as that reader. The keyed
+    /// store's `read_many` (and through it `read`) is the consumer.
+    ///
+    /// * Authenticated: every reader's `R1` is read first (Alg. 2 lines
+    ///   4–6), then **one** [`verify_groups`] run decides each instance's
+    ///   freshest value (line 7); a failed or malformed instance reads its
+    ///   `v0` (lines 8–9).
+    /// * Sticky: one fused `Read` per instance (Alg. 3 lines 7–22).
+    /// * Verifiable: one `R*` read per instance (Alg. 1 lines 9–10), no
+    ///   rounds.
+    ///
+    /// Why each instance's result is that of a standalone `Read`: the
+    /// argument is [`quorum_groups`](crate::quorum::quorum_groups)'s, per
+    /// instance. Byzantine linearizability is local to each register, and
+    /// per instance the fused run takes exactly the standalone read's
+    /// steps, in the same order: its `R1` read comes before its first `C_k`
+    /// bump, and each of its rounds bumps its own `C_k` and waits for a
+    /// fresh reply from its own reply column. What the other instances do
+    /// in between (their `R1` reads, bumps and reply reads) touches none of
+    /// this instance's registers, so it is indistinguishable from
+    /// scheduling delay, which asynchrony already allows; and the shared
+    /// cursor only makes a bump larger, which helpers cannot tell from
+    /// extra rounds run meanwhile. No decision rule, threshold or round
+    /// changes: each instance still decides `true` at `|set1| ≥ n − f`,
+    /// `false` at `|set0| > f`, and a sticky instance at `n − f` matching
+    /// values or more than `f` `⊥`-replies.
+    ///
+    /// Reads answered through a fused run are not recorded in any
+    /// instance's operation history, for the reason given at
+    /// [`verify_fused`](SignatureVerifier::verify_fused).
+    ///
+    /// # Errors
+    ///
+    /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
+    fn read_fused(env: &Env, readers: &[&Self]) -> Result<Vec<Option<V>>>
     where
         Self: Sized;
 }
@@ -303,6 +349,11 @@ impl<V: Value> SignatureVerifier<V> for VerifiableReader<V> {
     fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>> {
         verify_fused_parts(env, groups, |r| &r.parts)
     }
+
+    /// One `R*` read per reader (Alg. 1 line 9): no quorum rounds.
+    fn read_fused(_env: &Env, readers: &[&Self]) -> Result<Vec<Option<V>>> {
+        Ok(readers.iter().map(|r| Some(r.r_star.read())).collect())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -364,6 +415,10 @@ impl<V: Value> SignatureVerifier<V> for AuthenticatedReader<V> {
 
     fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>> {
         verify_fused_parts(env, groups, |r| &r.parts)
+    }
+
+    fn read_fused(env: &Env, readers: &[&Self]) -> Result<Vec<Option<V>>> {
+        Ok(authenticated::read_groups(env, readers)?.into_iter().map(Some).collect())
     }
 }
 
@@ -437,18 +492,24 @@ impl<V: Value> SignatureVerifier<V> for StickyReader<V> {
     /// One fused sticky `Read` per group answers all of the group's checks.
     fn verify_fused(env: &Env, groups: &[(&Self, &[V])]) -> Result<Vec<Vec<bool>>> {
         let parts: Vec<_> = groups.iter().map(|&(r, _)| &r.parts).collect();
-        let stuck = read_groups(env, &parts)?;
+        let stuck = sticky::read_groups(env, &parts)?;
         Ok(groups
             .iter()
             .zip(stuck)
             .map(|(&(_, vs), s)| vs.iter().map(|v| s.as_ref() == Some(v)).collect())
             .collect())
     }
+
+    fn read_fused(env: &Env, readers: &[&Self]) -> Result<Vec<Option<V>>> {
+        let parts: Vec<_> = readers.iter().map(|r| &r.parts).collect();
+        sticky::read_groups(env, &parts)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::authenticated::WriterRecord;
     use byzreg_runtime::{Scheduling, System};
 
     fn family_smoke<R: SignatureRegister<u32>>(system: &System) {
@@ -538,6 +599,32 @@ mod tests {
         reg.writer().write(1).unwrap();
         assert_eq!(reg.history().len(), 2);
         assert_eq!(system.env().clock().now() - before, 2);
+        system.shutdown();
+    }
+
+    #[test]
+    fn fused_authenticated_read_returns_v0_for_a_garbage_record() {
+        // Two instances on one system read by p2 in one fused run: p1 is a
+        // declared-Byzantine writer that stored malformed content in its
+        // R1 (Alg. 2 line 5 rejects it), p3 a correct writer.
+        let system = System::builder(4).byzantine(ProcessId::new(1)).build();
+        let (s, p) = (&system, ProcessId::new);
+        let garbled = AuthenticatedRegister::install_in_shard(
+            s,
+            0u32,
+            &LocalFactory,
+            &s.new_help_shard(),
+            p(1),
+        );
+        let written =
+            AuthenticatedRegister::install_in_shard(s, 0, &LocalFactory, &s.new_help_shard(), p(3));
+        garbled.attack_ports(p(1)).r1.expect("the writer owns R1").write(WriterRecord::Garbage(9));
+        written.writer().write(7).unwrap();
+        let readers = [garbled.reader(p(2)), written.reader(p(2))];
+        let env = system.env();
+        let got =
+            env.run_as(p(2), || AuthenticatedReader::read_fused(env, &[&readers[0], &readers[1]]));
+        assert_eq!(got.unwrap(), vec![Some(0), Some(7)]);
         system.shutdown();
     }
 

@@ -367,20 +367,7 @@ impl<V: Value> AuthenticatedReader<V> {
     pub fn read(&mut self) -> Result<V> {
         self.env.check_running()?;
         let op = self.log.invoke(self.pid, AuthInv::Read);
-        let value = self.env.run_as(self.pid, || -> Result<V> {
-            let r = self.r1.read(); // line 4: r <- R1
-                                    // line 5: "if r is a set of tuples of the form ⟨ℓ, v⟩".
-            if let Some((_, v)) = r.freshest() {
-                // line 6 picked the max tuple; line 7: verified <- Verify(v).
-                // This is the *procedure*, not a recorded operation
-                // (cf. the "dual-use" footnote 7).
-                let groups = [(&self.parts, std::slice::from_ref(v))];
-                if verify_groups(&self.env, &groups)?[0][0] {
-                    return Ok(v.clone()); // line 8
-                }
-            }
-            Ok(self.v0.clone()) // line 9
-        })?;
+        let value = self.env.run_as(self.pid, || read_groups(&self.env, &[&*self]))?.remove(0);
         self.log.respond(op, self.pid, AuthResp::ReadValue(value.clone()));
         Ok(value)
     }
@@ -415,6 +402,42 @@ impl<V: Value> AuthenticatedReader<V> {
         }
         Ok(outcomes)
     }
+}
+
+/// The `Read` procedure of Alg. 2 lines 4–9 for every reader in `readers`
+/// (handles of one reader of `env`, one per register instance), with every
+/// instance's `Verify(−)` fused into **one** [`verify_groups`] run; returns
+/// one read value per reader. Each reader's `R1` is read first (line 4),
+/// and its freshest tuple, if the record is a well-formed non-empty set of
+/// tuples (lines 5–6), becomes that instance's one value to verify (line 7).
+/// A malformed or empty record becomes an empty group. An instance whose
+/// value fails verification returns its `v0` (line 9).
+///
+/// # Errors
+///
+/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
+/// mid-operation.
+pub(crate) fn read_groups<V: Value>(
+    env: &Env,
+    readers: &[&AuthenticatedReader<V>],
+) -> Result<Vec<V>> {
+    // Lines 4-6: r <- R1; the max tuple of a well-formed record.
+    let freshest: Vec<Option<V>> =
+        readers.iter().map(|r| r.r1.read().freshest().map(|(_, v)| v.clone())).collect();
+    // Line 7: verified <- Verify(v). This is the *procedure*, not a
+    // recorded operation (cf. the "dual-use" footnote 7).
+    let groups: Vec<_> =
+        readers.iter().zip(&freshest).map(|(r, v)| (&r.parts, v.as_slice())).collect();
+    let verified = verify_groups(env, &groups)?;
+    Ok(readers
+        .iter()
+        .zip(freshest)
+        .zip(verified)
+        .map(|((r, v), ok)| match v {
+            Some(v) if ok[0] => v, // line 8
+            _ => r.v0.clone(),     // line 9
+        })
+        .collect())
 }
 
 impl<V: Value> std::fmt::Debug for AuthenticatedReader<V> {

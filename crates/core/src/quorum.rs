@@ -65,6 +65,20 @@ pub struct EngineParts<W> {
     /// on every instance it touches, so exactly the right shards' engines
     /// wake and keep ticking while the run has pending rounds.
     pub demand: HelpDemand,
+    /// Per helper `p_j`: the version of `R_{j,k}` at the last read of it by
+    /// any run, and the timestamp that read returned (see
+    /// [`quorum_groups`]). Only the handle's own runs lock it.
+    seen: Mutex<Vec<Option<(u64, u64)>>>,
+}
+
+impl<W> EngineParts<W> {
+    /// The engine handles over the asker counter `ck`, the reply column
+    /// `replies` and the instance's help-shard `demand`.
+    #[must_use]
+    pub fn new(ck: WritePort<u64>, replies: Vec<ReadPort<Tagged<W>>>, demand: HelpDemand) -> Self {
+        let seen = Mutex::new(vec![None; replies.len()]);
+        EngineParts { ck, replies, demand, seen }
+    }
 }
 
 /// Per-group voting state of a [`quorum_groups`] run.
@@ -110,9 +124,17 @@ struct GroupState<T> {
 /// sum.
 ///
 /// The spin reads only what changed: a reply register whose write version
-/// has not moved since this run read it stale is not read again (see
+/// has not moved since it was last read stale is not read again (see
 /// `ReadPort::version`). Rounds and decisions are those of a run in which
-/// that read was merely delayed.
+/// that read was merely delayed. The memory of those reads lives in the
+/// reader's [`EngineParts`], so it carries over from one run to the next:
+/// the silent helper's never-written `R_{j,k}` is read once per handle, not
+/// once per run. That is sound across runs because `C_k` only grows. Each
+/// bump writes a value above `C_k`'s last one, and only its owner writes
+/// it, so every later run's `my_ck` exceeds every earlier run's. A
+/// timestamp that was stale for an earlier run's round is therefore stale
+/// for every later round, and while the version has not moved the register
+/// still holds that timestamp.
 ///
 /// # Errors
 ///
@@ -128,7 +150,9 @@ pub fn quorum_groups<W: Value, T>(
     // Signal "this run has pending rounds" to every touched instance's help
     // shard for the whole run: shard engines tick the touched instances'
     // help tasks exactly while these guards are held.
-    let _demand: Vec<HelpDemandGuard> = groups.iter().map(|(p, _)| p.demand.begin()).collect();
+    // A group with no items needs no helping.
+    let _demand: Vec<HelpDemandGuard> =
+        groups.iter().filter(|&&(_, items)| items > 0).map(|(p, _)| p.demand.begin()).collect();
     let mut states: Vec<GroupState<T>> = groups
         .iter()
         .map(|&(_, items)| GroupState {
@@ -143,9 +167,6 @@ pub fn quorum_groups<W: Value, T>(
     let mut pending_total: usize = states.iter().map(|s| s.pending).sum();
     let mut my_ck = vec![0u64; groups.len()];
     let mut cursor = 0u64;
-    // Per group and helper: the version of `R_{j,k}` at this run's last
-    // read of it, and the timestamp that read returned.
-    let mut seen: Vec<Vec<Option<(u64, u64)>>> = vec![vec![None; n]; groups.len()];
 
     // Alg. 1 line 12: while true (each iteration is a "round").
     while pending_total > 0 {
@@ -190,19 +211,23 @@ pub fn quorum_groups<W: Value, T>(
                 }
                 // Lines 14-17: read R_{j,k} of every relevant p_j until one
                 // carries a timestamp >= Ck. A register whose version has
-                // not moved since this run read it stale is still stale
-                // (see `ReadPort::version`): that read is skipped.
+                // not moved since it was read stale is still stale (see
+                // `ReadPort::version`): that read is skipped. The lock is
+                // held for one pass over one group, so a handle listed
+                // twice cannot deadlock its own run.
+                let mut seen = parts.seen.lock();
                 let fresh = (0..n).filter(|&j| relevant[g][j]).find_map(|j| {
                     let port = &parts.replies[j];
                     let version = port.version();
-                    if matches!(seen[g][j], Some((v, c_j)) if v == version && c_j < my_ck[g]) {
+                    if matches!(seen[j], Some((v, c_j)) if v == version && c_j < my_ck[g]) {
                         return None;
                     }
                     let (r_j, c_j) = port.read();
                     read_any = true;
-                    seen[g][j] = Some((version, c_j));
+                    seen[j] = Some((version, c_j));
                     (c_j >= my_ck[g]).then_some((j, r_j))
                 });
+                drop(seen);
                 let Some((j, r_j)) = fresh else { continue };
                 let s = &mut states[g];
                 for i in 0..s.outcome.len() {
@@ -564,11 +589,11 @@ impl<W: Value, P> Instance<W, P> {
         assert!(role != 1, "{pid} is the writer, not a reader");
         assert!(!self.env.is_faulty(pid), "{pid} is Byzantine; take attack_ports({pid}) instead");
         let (_, fabric) = self.take(role);
-        EngineParts {
-            ck: fabric.asker.expect("reader ports"),
-            replies: view.reply_column(role),
-            demand: self.demand.clone(),
-        }
+        EngineParts::new(
+            fabric.asker.expect("reader ports"),
+            view.reply_column(role),
+            self.demand.clone(),
+        )
     }
 
     /// Every port a declared-Byzantine `pid` owns.
@@ -650,7 +675,7 @@ mod tests {
         let (reply_w, replies): (Vec<_>, Vec<_>) = (1..=4)
             .map(|j| loads.create(env, p(j), format!("R{j}"), (BTreeSet::<u32>::new(), 0)))
             .unzip();
-        let parts = EngineParts { ck, replies, demand: sys.new_help_shard().new_demand() };
+        let parts = EngineParts::new(ck, replies, sys.new_help_shard().new_demand());
         let reply_loads = || (1..=4).map(|j| loads.of(&format!("R{j}"))).sum::<usize>();
         // Waits until `cond` holds, then for 100 more gate steps.
         let settle = |cond: &dyn Fn() -> bool| {
@@ -691,6 +716,38 @@ mod tests {
         assert_eq!(reply_loads(), 7, "each later answer is read once; R4 never again");
     }
 
+    #[test]
+    fn the_skip_memory_outlives_one_run() {
+        // p4 is silent, so its reply register R[4,2] is never written: once
+        // one of p2's verifies has read it stale, no later run reads it.
+        let sys = System::builder(4).byzantine(ProcessId::new(4)).build();
+        let loads = Loads::default();
+        let reg = crate::authenticated::AuthenticatedRegister::install_in_shard(
+            &sys,
+            0u32,
+            &loads,
+            &sys.new_help_shard(),
+            ProcessId::new(1),
+        );
+        reg.writer().write(7).unwrap();
+        let mut reader = reg.reader(ProcessId::new(2));
+        let mut runs = 0;
+        while loads.of("R[4,2]") == 0 {
+            assert!(runs < 100, "no verify read R[4,2] in {runs} runs");
+            assert!(reader.verify(&7).unwrap());
+            runs += 1;
+        }
+        assert_eq!(loads.of("R[4,2]"), 1);
+        assert!(reader.verify(&7).unwrap());
+        assert_eq!(loads.of("R[4,2]"), 1, "the second run made no load of R[4,2]");
+        for _ in 0..10 {
+            assert!(!reader.verify(&8).unwrap());
+            assert_eq!(reader.read().unwrap(), 7);
+        }
+        assert_eq!(loads.of("R[4,2]"), 1, "nor did any later run");
+        sys.shutdown();
+    }
+
     /// Reader `p2`'s engine handles over a reply column whose helper `p_j`
     /// holds `reply(j)`, plus a read port of its asker counter.
     fn column<W: Value>(
@@ -705,7 +762,7 @@ mod tests {
                 register::swmr(env.gate(), ProcessId::new(j), format!("R{j}{tag}"), reply(j)).1
             })
             .collect();
-        (EngineParts { ck, replies, demand: sys.new_help_shard().new_demand() }, ck_r)
+        (EngineParts::new(ck, replies, sys.new_help_shard().new_demand()), ck_r)
     }
 
     /// A ready-to-answer column: every helper witnesses `witnessed` at a

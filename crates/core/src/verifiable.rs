@@ -319,7 +319,9 @@ pub struct VerifiableReader<V> {
     /// The reader's §5.1 engine handles (asker counter, reply column,
     /// help-shard demand); the trait layer's fused runs borrow them.
     pub(crate) parts: EngineParts<WitnessSet<V>>,
-    r_star: ReadPort<V>,
+    /// `R*`, the register `Read` returns (the trait layer's fused reads
+    /// read it too).
+    pub(crate) r_star: ReadPort<V>,
     log: HistoryLog<VerInv<V>, VerResp<V>>,
 }
 

@@ -15,8 +15,8 @@
 //!   in different shards never contend on store metadata), per-key
 //!   register instantiation on first touch, and batched
 //!   [`verify_many`](store::ByzStore::verify_many) /
-//!   [`read_many`](store::ByzStore::read_many) paths — `verify_many`
-//!   dedupes per key and then fuses **all** engine-backed keys into one
+//!   [`read_many`](store::ByzStore::read_many) paths — each dedupes per
+//!   key and then fuses **all** engine-backed keys into one
 //!   cross-register §5.1 round sequence sharing a single logical asker
 //!   counter per reader;
 //! * [`workload`] — a deterministic, seeded driver: read/write/verify mix,

@@ -14,9 +14,12 @@
 //! per reader drives all touched registers' voting loops in lockstep
 //! ([`SignatureVerifier::verify_fused`]), so a batch spanning many keys
 //! costs the slowest key's rounds, not the sum of every key's rounds.
-//! [`ByzStore::read_many`] likewise answers duplicate keys from a single
-//! quorum read. Under skewed (Zipf-like) traffic the dedupe amortizes hot
-//! keys; under spread-out traffic the fusion amortizes the cold ones.
+//! [`ByzStore::read_many`] does the same for reads: each distinct key is
+//! read once, and every key's quorum rounds run in one fused round
+//! sequence ([`SignatureVerifier::read_fused`]). Under skewed (Zipf-like)
+//! traffic the dedupe amortizes hot keys; under spread-out traffic the
+//! fusion amortizes the cold ones. The single-key [`ByzStore::read`] and
+//! [`ByzStore::verify`] are one-key batches.
 //!
 //! **Helping is partitioned by shard**: each store shard owns one
 //! demand-driven help shard of the hosting [`System`], and every key's
@@ -30,7 +33,7 @@
 //! a fused cross-key batch wakes one task per touched shard instead of one
 //! per base register.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -38,7 +41,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use byzreg_core::api::{SignatureRegister, SignatureSigner, SignatureVerifier};
-use byzreg_runtime::{HelpShard, ProcessId, RegisterFactory, Result, System, Value};
+use byzreg_runtime::{Env, HelpShard, ProcessId, RegisterFactory, Result, System, Value};
 
 /// Store-level tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -209,6 +212,8 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     }
 
     /// Reads `key`'s register as reader `pid`. `None` is the sticky `⊥`.
+    /// A one-key [`read_many`](ByzStore::read_many): for one key the fused
+    /// read takes exactly the steps of the register's own `Read`.
     ///
     /// # Errors
     ///
@@ -218,10 +223,12 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     ///
     /// Panics if `pid` is the writer or declared Byzantine.
     pub fn read(&self, pid: ProcessId, key: &K) -> Result<Option<V>> {
-        self.entry(key).verifier(pid).lock().read_value()
+        Ok(self.read_many(pid, std::slice::from_ref(key))?.remove(0))
     }
 
-    /// Checks `v`'s signature property under `key` as reader `pid`.
+    /// Checks `v`'s signature property under `key` as reader `pid`. A
+    /// one-check [`verify_many`](ByzStore::verify_many): for one check the
+    /// fused run takes exactly the steps of the register's own `Verify`.
     ///
     /// # Errors
     ///
@@ -231,12 +238,17 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     ///
     /// Panics if `pid` is the writer or declared Byzantine.
     pub fn verify(&self, pid: ProcessId, key: &K, v: &V) -> Result<bool> {
-        self.entry(key).verifier(pid).lock().verify_value(v)
+        Ok(self.verify_many(pid, &[(key.clone(), v.clone())])?[0])
     }
 
-    /// Reads a batch of keys, answering duplicate keys from one quorum
-    /// read. Results are in input order; semantically equivalent to
-    /// calling [`read`](ByzStore::read) once per key.
+    /// Reads a batch of keys in **one** fused cross-register read
+    /// ([`SignatureVerifier::read_fused`]): each distinct key is read once,
+    /// and every key's quorum rounds (the authenticated `Read`'s internal
+    /// `Verify(−)`, the sticky `Read`) share one §5.1 round sequence driven
+    /// by a single logical asker counter per reader, so a batch spanning
+    /// `m` keys waits for the slowest key's rounds instead of the sum of
+    /// all keys' rounds. Results are in input order; semantically
+    /// equivalent to calling [`read`](ByzStore::read) once per key.
     ///
     /// # Errors
     ///
@@ -246,14 +258,10 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     ///
     /// Panics if `pid` is the writer or declared Byzantine.
     pub fn read_many(&self, pid: ProcessId, keys: &[K]) -> Result<Vec<Option<V>>> {
-        let mut cache: HashMap<&K, Option<V>> = HashMap::with_capacity(keys.len());
-        for key in keys {
-            if !cache.contains_key(key) {
-                let got = self.read(pid, key)?;
-                cache.insert(key, got);
-            }
-        }
-        Ok(keys.iter().map(|k| cache[k].clone()).collect())
+        self.fused(pid, keys, |env, readers, slots| {
+            let values = R::Verifier::read_fused(env, readers)?;
+            Ok(slots.iter().map(|&s| values[s].clone()).collect())
+        })
     }
 
     /// Verifies a batch of `(key, value)` checks, amortizing the quorum
@@ -276,51 +284,57 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     ///
     /// Panics if `pid` is the writer or declared Byzantine.
     pub fn verify_many(&self, pid: ProcessId, checks: &[(K, V)]) -> Result<Vec<bool>> {
-        // Sorted key grouping: the verifier locks below are taken in this
-        // global order, so concurrent batches can never deadlock.
-        let mut by_key: BTreeMap<&K, Vec<usize>> = BTreeMap::new();
-        for (i, (key, _)) in checks.iter().enumerate() {
-            by_key.entry(key).or_default().push(i);
-        }
-        type KeyHandle<X> = (Vec<usize>, Arc<Mutex<X>>);
-        let handles: Vec<KeyHandle<R::Verifier>> =
-            by_key.into_iter().map(|(key, idxs)| (idxs, self.entry(key).verifier(pid))).collect();
+        self.fused(pid, checks.iter().map(|(key, _)| key), |env, verifiers, slots| {
+            // Dedupe identical values per key: verify once, fan the answer
+            // back out to every duplicate check.
+            let mut values: Vec<Vec<V>> = vec![Vec::new(); verifiers.len()];
+            let at: Vec<(usize, usize)> = checks
+                .iter()
+                .zip(slots)
+                .map(|((_, v), &s)| {
+                    let vs = &mut values[s];
+                    let i = vs.iter().position(|x| x == v).unwrap_or_else(|| {
+                        vs.push(v.clone());
+                        vs.len() - 1
+                    });
+                    (s, i)
+                })
+                .collect();
+            let groups: Vec<_> =
+                verifiers.iter().zip(&values).map(|(&r, vs)| (r, vs.as_slice())).collect();
+            let outcomes = R::Verifier::verify_fused(env, &groups)?;
+            Ok(at.into_iter().map(|(s, i)| outcomes[s][i]).collect())
+        })
+    }
 
-        // Every verifier stays locked for the whole fused run (the shared
-        // cursor owns each key's asker counter until the batch is decided).
-        let guards: Vec<_> = handles.iter().map(|(_, verifier)| verifier.lock()).collect();
-        let mut distinct = Vec::with_capacity(handles.len());
-        let mut slots = Vec::with_capacity(handles.len());
-        for (idxs, _) in &handles {
-            // Dedupe identical values for this key: verify once, fan the
-            // answer back out to every duplicate check.
-            let mut slot_of_value: HashMap<&V, usize> = HashMap::new();
-            let mut values: Vec<V> = Vec::new();
-            let mut key_slots = Vec::with_capacity(idxs.len());
-            for &i in idxs {
-                let v = &checks[i].1;
-                let slot = *slot_of_value.entry(v).or_insert_with(|| {
-                    values.push(v.clone());
-                    values.len() - 1
-                });
-                key_slots.push(slot);
-            }
-            distinct.push(values);
-            slots.push(key_slots);
-        }
-
-        let groups: Vec<_> =
-            guards.iter().zip(&distinct).map(|(g, vs)| (&**g, vs.as_slice())).collect();
+    /// The prelude every batch shares. Takes `keys`' distinct keys in
+    /// sorted order and their reader-`pid` verifier handles, and locks the
+    /// handles in that order: one global lock order, so concurrent batches
+    /// can never deadlock. Then runs `run(env, verifiers, slots)` as `pid`,
+    /// where `slots[i]` is the index in `verifiers` of the `i`-th input
+    /// key. Every handle stays locked for the whole run (a fused run owns
+    /// each key's asker counter until the batch is decided).
+    fn fused<'k, T>(
+        &self,
+        pid: ProcessId,
+        keys: impl IntoIterator<Item = &'k K>,
+        run: impl FnOnce(&Env, &[&R::Verifier], &[usize]) -> Result<T>,
+    ) -> Result<T>
+    where
+        K: 'k,
+    {
+        let keys: Vec<&K> = keys.into_iter().collect();
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let slots: Vec<usize> =
+            keys.iter().map(|k| distinct.binary_search(k).expect("a batch key")).collect();
+        let handles: Vec<_> = distinct.iter().map(|k| self.entry(k).verifier(pid)).collect();
+        let guards: Vec<_> = handles.iter().map(|h| h.lock()).collect();
+        let verifiers: Vec<&R::Verifier> = guards.iter().map(|g| &**g).collect();
         let env = self.system.env();
-        let outcomes = env.run_as(pid, || R::Verifier::verify_fused(env, &groups))?;
-        drop(guards);
-        let mut results = vec![false; checks.len()];
-        for (((idxs, _), slots), outcomes) in handles.iter().zip(&slots).zip(&outcomes) {
-            for (&i, &slot) in idxs.iter().zip(slots) {
-                results[i] = outcomes[slot];
-            }
-        }
-        Ok(results)
+        env.check_running()?;
+        env.run_as(pid, || run(env, &verifiers, &slots))
     }
 }
 
@@ -339,7 +353,7 @@ impl<K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> std::fmt::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byzreg_core::{AuthenticatedRegister, StickyRegister, VerifiableRegister};
+    use byzreg_core::{AuthenticatedRegister, Family, StickyRegister, VerifiableRegister};
     use byzreg_runtime::LocalFactory;
 
     fn roundtrip<R: SignatureRegister<u64>>() {
@@ -433,6 +447,34 @@ mod tests {
         let got = store.read_many(p2, &[7, 8, 7, 7, 8]).unwrap();
         assert_eq!(got, vec![Some(70), Some(0), Some(70), Some(70), Some(0)]);
         system.shutdown();
+    }
+
+    #[test]
+    fn read_many_matches_per_key_loop_for_all_families() {
+        // Every family's batch runs as one fused read; it must agree with
+        // the per-key loop, duplicate and never-written keys included.
+        fn drive<R: SignatureRegister<u64>>() {
+            let system = System::builder(4).build();
+            let store: ByzStore<'_, u64, u64, R, _> =
+                ByzStore::new(&system, LocalFactory, 5, StoreConfig { shards: 2 });
+            for key in 1..=4u64 {
+                store.write(key, key * 10).unwrap();
+            }
+            let p3 = ProcessId::new(3);
+            let keys = [4u64, 9, 1, 4, 2, 9, 3, 1, 12];
+            let batched = store.read_many(p3, &keys).unwrap();
+            let looped: Vec<_> = keys.iter().map(|k| store.read(p3, k).unwrap()).collect();
+            assert_eq!(batched, looped, "{}", R::FAMILY);
+            let unwritten = if R::FAMILY == Family::Sticky { None } else { Some(5) };
+            let want: Vec<_> =
+                keys.iter().map(|&k| if k <= 4 { Some(k * 10) } else { unwritten }).collect();
+            assert_eq!(batched, want, "{}", R::FAMILY);
+            assert!(store.read_many(p3, &[]).unwrap().is_empty(), "{}", R::FAMILY);
+            system.shutdown();
+        }
+        drive::<VerifiableRegister<u64>>();
+        drive::<AuthenticatedRegister<u64>>();
+        drive::<StickyRegister<u64>>();
     }
 
     #[test]
