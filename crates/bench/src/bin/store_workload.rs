@@ -228,8 +228,17 @@ fn adversary_runs(full: bool) -> Vec<WorkloadReport> {
 /// partitioning, every engine round looped over every live key's help
 /// task, so verify tail latency grew with the key count; with per-shard
 /// demand-driven engines only the probed key's shard ticks, and only its
-/// pending keys. The run asserts the flatness the partitioning buys: p99
-/// verify latency at 1024 live keys stays within 2× of 64 live keys.
+/// pending keys. The run asserts the flatness the partitioning buys, twice:
+///
+/// * by count, which does not depend on the host: no help engine ever keeps
+///   more instances active than twice the verifies in flight (readers ×
+///   batch; the factor 2 covers an instance whose demand ends while its
+///   engine's sweep is still reading the list), at 64 and at 1024 keys
+///   alike. An engine that kept every instance it ever listed active
+///   would grow with the keys of its shard (64 / 16 = 4 on average at 64
+///   keys);
+/// * by time: p99 verify latency at 1024 live keys stays within 2× of 64
+///   live keys.
 ///
 /// Each scale is measured three times and the best run is kept — the
 /// probe compares architecture, not scheduler luck.
@@ -240,6 +249,7 @@ fn help_scale_runs(full: bool) -> Vec<WorkloadReport> {
         if full {
             cfg.ops = 512;
         }
+        let active_bound = 2 * cfg.readers * cfg.batch.max(1);
         let mut best: Option<WorkloadReport> = None;
         for _ in 0..3 {
             let system = build_system(&cfg);
@@ -250,8 +260,15 @@ fn help_scale_runs(full: bool) -> Vec<WorkloadReport> {
                 &cfg,
             )
             .expect("help scale run");
+            let active = system.help_active_high_water();
             system.shutdown();
             assert!(report.distinct_keys as u64 >= keys, "every key must be live");
+            println!("help-scale: {keys} keys, at most {active} instances active per engine");
+            assert!(
+                active <= active_bound,
+                "a help engine kept {active} instances active at {keys} live keys (bound \
+                 {active_bound} = 2 × readers × batch) — engines tick instances without demand"
+            );
             let better = match &best {
                 None => true,
                 Some(b) => report.verify.p99_ns < b.verify.p99_ns,

@@ -10,7 +10,9 @@
 //! Every register spawned through one factory shares the factory's single
 //! [`Reactor`] (default `min(8, parallelism)` worker threads), where the
 //! old design spawned `n` dedicated threads *per register*. A base-register
-//! access drains its emulated register on the calling thread, so the
+//! access is one [`MpClient`] call: it locks its emulated register, drains
+//! it on the calling thread and takes its result from its node, with no
+//! channel or wake, so it costs its protocol messages and little more. The
 //! reactor carries only Byzantine-endpoint traffic; with no endpoint taken,
 //! as for every register this factory makes, its workers stay parked.
 //!

@@ -60,6 +60,17 @@
 //! A destination nobody reads (a declared-Byzantine node whose endpoint
 //! was never taken) gets no queue at all: [`Endpoint::send`] drops its
 //! traffic without moving any other delivery.
+//!
+//! The network's condvar is notified on every send, on every pen flush and
+//! when a drain ends. Its waiters are [`Endpoint::recv_timeout`] callers
+//! (Byzantine code) and `MpRegister::settle`; a client drain has neither,
+//! so those notifies find no waiter and cost one atomic load, not a
+//! syscall (the vendored `parking_lot::Condvar` counts its waiters). No
+//! wake-up is lost: every notify site (`send`, `set_draining`,
+//! `next_event`, `recv_timeout`) changes what the waiters test — the
+//! queues, the pens, the `draining` mark — under the state lock, and
+//! waiters test it under that lock, which is the condition the condvar's
+//! soundness argument needs.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -197,7 +208,9 @@ pub(crate) struct Net<M> {
     /// The adversarial delivery policy (inert by default).
     adversary: AdversaryPolicy,
     state: Mutex<NetState<M>>,
-    /// Signals blocked [`Endpoint::recv_timeout`] callers on every send.
+    /// Signals blocked [`Endpoint::recv_timeout`] and [`Net::settle`]
+    /// callers on every send, pen flush and end of a drain; free when
+    /// nobody waits (see the module docs).
     cv: Condvar,
     /// Invoked (outside the state lock) after every send from an endpoint
     /// that [wakes the host](Net::endpoint), so a reactor can schedule the

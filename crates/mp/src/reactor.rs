@@ -83,6 +83,10 @@ struct Slot {
 
 struct Shared {
     ready: Mutex<VecDeque<usize>>,
+    /// Workers park here. `schedule` pushes under the `ready` lock and
+    /// `shutdown` locks it after setting its flag, and workers test both
+    /// under that lock, so a notify that finds no waiter may skip the wake
+    /// (see `parking_lot::Condvar`).
     cv: Condvar,
     slots: Mutex<Vec<Slot>>,
     shutdown: AtomicBool,
@@ -206,8 +210,8 @@ impl Reactor {
         })
     }
 
-    /// Removes (and drops) task `id`. Channel receivers owned by the task
-    /// are dropped with it, which unblocks any client waiting on a reply.
+    /// Removes (and drops) task `id`; its next dispatch, if already
+    /// queued, finds the slot empty and does nothing.
     pub fn remove(&self, id: TaskId) {
         let task = {
             let slots = self.shared.slots.lock();

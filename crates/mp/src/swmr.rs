@@ -35,13 +35,22 @@
 //! **zero** dedicated threads.
 //!
 //! Who runs a drain: the caller. [`MpClient::write`]/[`MpClient::read`]
-//! queue the command, lock the register's task and drain it on the calling
-//! thread; the drain reaches quiescence with the command complete. Node
-//! sends happen inside that drain, which consumes them, so they wake no
-//! one. Only traffic a Byzantine endpoint injects from outside wakes the
-//! hosting [`Reactor`] (see [`crate::reactor`]), whose worker then drains
-//! the same task under the same lock. Delivery order is decided by the
-//! network alone, so it does not depend on which thread drains.
+//! lock the register's task, put the command on their process's node,
+//! drain the task on the calling thread and take the command's result from
+//! the node, all under that one lock; the drain reaches quiescence with the
+//! command complete. No channel carries the command or its reply, and the
+//! call allocates nothing of its own. Node sends happen inside that drain,
+//! which consumes them, so they wake no one: no thread waits on the
+//! network's condvar then, and a notify with no waiter costs one atomic
+//! load (see the vendored `parking_lot::Condvar`). Only traffic a Byzantine
+//! endpoint injects from outside wakes the hosting [`Reactor`] (see
+//! [`crate::reactor`]), whose worker then drains the same task under the
+//! same lock. Delivery order is decided by the network alone, so it does
+//! not depend on which thread drains.
+//!
+//! Per write `sn`, a node tallies `ECHO`/`VALID` senders per value in a
+//! short list matched with `==`, with senders as a bitmask (hence
+//! `n <= 64`): a value is cloned when it first appears, never hashed.
 //!
 //! Under correct traffic, per-write state stays bounded by the writes in
 //! flight: a node retires a write's echo/validation state once it can no
@@ -55,17 +64,22 @@
 //! by one entry per forged `sn` (pinned by a test below; bounding it is
 //! ROADMAP item 6).
 //!
-//! Liveness caveat: reads are guaranteed to terminate when the writer
-//! eventually pauses — the classic cost of atomic reads without
-//! writer-side helping (a read needs `n − f` nodes to report the *same*
-//! `(best, v)`, which a writer that never stops can keep ahead of); all
-//! tests and benches satisfy this.
+//! Liveness caveat. Under an arbitrary scheduler the protocol guarantees a
+//! read terminates only if the writer eventually pauses — the classic cost
+//! of atomic reads without writer-side helping: a read needs `n − f` nodes
+//! to report the *same* `(best, v)`, which a writer that never stops can
+//! keep ahead of. Here the scheduler is not arbitrary: each call drains
+//! its own command to quiescence under the register's lock, so no write
+//! starts while a read is in flight, and a correct writer cannot stay
+//! ahead of a read. The test `reads_finish_under_a_writer_that_never_pauses`
+//! pins this: `p1` writes 20 000 values back to back while `p2` and `p3`
+//! read in loops, and every call returns inside a bounded wait with
+//! monotone, written values. The caveat still holds for any drain that
+//! could deliver a new write's messages in the middle of a read.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, Sender};
 
 use byzreg_runtime::{ProcessId, Value};
 
@@ -125,8 +139,56 @@ pub enum Msg<V> {
 
 /// Commands from a client to its co-located node.
 enum Cmd<V> {
-    Write(V, Sender<()>),
-    Read(Sender<(u64, V)>),
+    Write(V),
+    Read,
+}
+
+/// The result of a node's last completed client command, which the call
+/// that queued the command takes (see [`MpClient`]).
+enum Done<V> {
+    Written,
+    Read(u64, V),
+}
+
+/// A set of senders as a bitmask: bit `i` stands for `p_{i+1}`.
+/// [`MpRegister::build`] asserts `n <= 64`, so every pid has a bit.
+#[derive(Clone, Copy, Default)]
+struct Senders(u64);
+
+impl Senders {
+    /// Adds `pid`; `false` if it was in the set already.
+    fn insert(&mut self, pid: ProcessId) -> bool {
+        let bit = 1u64 << pid.zero_based();
+        let new = self.0 & bit == 0;
+        self.0 |= bit;
+        new
+    }
+
+    fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
+/// The senders of one message kind for one write `sn`, per value: a short
+/// list matched with `==`. A correct writer gives an `sn` one value, so the
+/// list has one entry unless Byzantine senders add values of their own.
+struct Tally<V>(Vec<(V, Senders)>);
+
+impl<V: Value> Tally<V> {
+    /// Counts `from` as a sender of `v` and returns how many senders `v`
+    /// has now; `None` if `from` was counted for `v` already. Clones `v`
+    /// only for a value not seen before.
+    fn add(&mut self, v: &V, from: ProcessId) -> Option<usize> {
+        let i = match self.0.iter().position(|(w, _)| w == v) {
+            Some(i) => i,
+            None => {
+                self.0.push((v.clone(), Senders::default()));
+                self.0.len() - 1
+            }
+        };
+        let senders = &mut self.0[i].1;
+        senders.insert(from).then(|| senders.len())
+    }
 }
 
 /// A poll-driven protocol node: all state transitions fire either on a
@@ -164,9 +226,13 @@ struct Node<V: Value> {
     // Client-side state (this node doubles as its process's client agent).
     next_sn: u64,
     next_rid: u64,
-    queued: VecDeque<Cmd<V>>,
-    write_op: Option<(u64, HashSet<ProcessId>, Sender<()>)>,
+    /// The client command waiting to start (at most one: see [`MpClient`]).
+    queued: Option<Cmd<V>>,
+    /// The write in flight: its `sn` and who has acked it.
+    write_op: Option<(u64, Senders)>,
     read_op: Option<ReadOp<V>>,
+    /// The result of the last completed command, until its call takes it.
+    done: Option<Done<V>>,
 }
 
 /// What one node knows about one write `sn`.
@@ -176,9 +242,9 @@ struct WriteState<V> {
     /// This node has validated `sn`.
     validated: bool,
     /// Senders of `ECHO(sn, v)`, per value `v`.
-    echo_from: HashMap<V, HashSet<ProcessId>>,
+    echo_from: Tally<V>,
     /// Senders of `VALID(sn, v)`, per value `v`.
-    valid_from: HashMap<V, HashSet<ProcessId>>,
+    valid_from: Tally<V>,
 }
 
 impl<V> Default for WriteState<V> {
@@ -186,8 +252,8 @@ impl<V> Default for WriteState<V> {
         WriteState {
             echoed: false,
             validated: false,
-            echo_from: HashMap::new(),
-            valid_from: HashMap::new(),
+            echo_from: Tally(Vec::new()),
+            valid_from: Tally(Vec::new()),
         }
     }
 }
@@ -195,7 +261,6 @@ impl<V> Default for WriteState<V> {
 struct ReadOp<V> {
     rid: u64,
     reports: BTreeMap<ProcessId, (u64, V)>,
-    reply: Sender<(u64, V)>,
 }
 
 impl<V: Value> Node<V> {
@@ -211,7 +276,7 @@ impl<V: Value> Node<V> {
             self.ts = sn;
             self.val = v;
             // Refresh every pending reader.
-            for (r, rid) in self.pending_readers.clone() {
+            for &(r, rid) in &self.pending_readers {
                 self.ep.send(r, Msg::State { rid, ts: self.ts, v: self.val.clone() });
             }
         }
@@ -260,16 +325,16 @@ impl<V: Value> Node<V> {
 
     fn start(&mut self, cmd: Cmd<V>) {
         match cmd {
-            Cmd::Write(v, reply) => {
+            Cmd::Write(v) => {
                 self.next_sn += 1;
                 let sn = self.next_sn;
-                self.write_op = Some((sn, HashSet::new(), reply));
+                self.write_op = Some((sn, Senders::default()));
                 self.ep.broadcast(Msg::Write { sn, v });
             }
-            Cmd::Read(reply) => {
+            Cmd::Read => {
                 self.next_rid += 1;
                 let rid = self.next_rid;
-                self.read_op = Some(ReadOp { rid, reports: BTreeMap::new(), reply });
+                self.read_op = Some(ReadOp { rid, reports: BTreeMap::new() });
                 self.ep.broadcast(Msg::Read { rid });
             }
         }
@@ -295,11 +360,7 @@ impl<V: Value> NodeStateMachine<V> for Node<V> {
                     return;
                 }
                 let state = self.writes.entry(sn).or_default();
-                let set = state.echo_from.entry(v.clone()).or_default();
-                if !set.insert(from) {
-                    return;
-                }
-                let count = set.len();
+                let Some(count) = state.echo_from.add(&v, from) else { return };
                 // Bracha amplification / validation thresholds, as in the
                 // paper: `f + 1` matching echoes amplify, `n − f` validate.
                 let amplify = self.f + 1;
@@ -317,23 +378,20 @@ impl<V: Value> NodeStateMachine<V> for Node<V> {
                     return;
                 }
                 let state = self.writes.entry(sn).or_default();
-                let set = state.valid_from.entry(v.clone()).or_default();
-                if !set.insert(from) {
-                    return;
-                }
+                let Some(count) = state.valid_from.add(&v, from) else { return };
                 // `f + 1` VALIDs contain one correct validator (totality).
                 let amplify = self.f + 1;
-                if set.len() >= amplify && !state.validated {
+                if count >= amplify && !state.validated {
                     self.validate(sn, v);
                     self.retire_if_done(sn);
                 }
             }
             Msg::Ack { sn } => {
-                if let Some((want, acks, reply)) = &mut self.write_op {
+                if let Some((want, acks)) = &mut self.write_op {
                     if *want == sn {
                         acks.insert(from);
                         if acks.len() >= self.n - self.f {
-                            let _ = reply.send(());
+                            self.done = Some(Done::Written);
                             self.write_op = None;
                         }
                     }
@@ -350,8 +408,8 @@ impl<V: Value> NodeStateMachine<V> for Node<V> {
                 if let Some(op) = &mut self.read_op {
                     if op.rid == rid {
                         op.reports.insert(from, (ts, v));
-                        if let Some(result) = decide_read(&op.reports, self.n, self.f) {
-                            let _ = op.reply.send(result);
+                        if let Some((ts, v)) = decide_read(&op.reports, self.n, self.f) {
+                            self.done = Some(Done::Read(ts, v));
                             let done = op.rid;
                             self.read_op = None;
                             self.ep.broadcast(Msg::ReadDone { rid: done });
@@ -368,7 +426,7 @@ impl<V: Value> NodeStateMachine<V> for Node<V> {
         if self.write_op.is_some() || self.read_op.is_some() {
             return false;
         }
-        match self.queued.pop_front() {
+        match self.queued.take() {
             Some(cmd) => {
                 self.start(cmd);
                 true
@@ -396,14 +454,13 @@ fn decide_read<V: Value>(
             }
         }
     }
-    // Decide once n−f nodes report exactly (best, v) for a single v.
-    let mut exact: HashMap<&V, usize> = HashMap::new();
-    for (ts, v) in reports.values() {
-        if *ts == best {
-            *exact.entry(v).or_insert(0) += 1;
-        }
-    }
-    exact.into_iter().find(|(_, c)| *c >= n - f).map(|(v, _)| (best, v.clone()))
+    // Decide once n−f nodes report exactly (best, v) for a single v (two
+    // such values would need 2(n−f) > n reporters, so the first found is
+    // the only one).
+    let at_best = || reports.values().filter(|(ts, _)| *ts == best);
+    at_best()
+        .find(|(_, v)| at_best().filter(|(_, w)| w == v).count() >= n - f)
+        .map(|(_, v)| (best, v.clone()))
 }
 
 /// The task hosting one register: all correct nodes plus the register's
@@ -414,27 +471,19 @@ struct RegisterTask<V: Value> {
     /// `None` for declared-Byzantine pids (their queue is read externally
     /// through the Byzantine endpoint, never by this task).
     nodes: Vec<Option<Node<V>>>,
-    cmds: Vec<Option<Receiver<Cmd<V>>>>,
     managed: Vec<bool>,
 }
 
 impl<V: Value> RegisterTask<V> {
+    /// The node of the correct process `pid`.
+    fn node(&mut self, pid: ProcessId) -> &mut Node<V> {
+        self.nodes[pid.zero_based()].as_mut().expect("a correct process's node")
+    }
+
     fn run(&mut self) {
         self.net.set_draining(true);
         loop {
             let mut progress = false;
-            for (i, rx) in self.cmds.iter().enumerate() {
-                if let Some(rx) = rx {
-                    while let Ok(cmd) = rx.try_recv() {
-                        self.nodes[i]
-                            .as_mut()
-                            .expect("correct node has cmds")
-                            .queued
-                            .push_back(cmd);
-                        progress = true;
-                    }
-                }
-            }
             for node in self.nodes.iter_mut().flatten() {
                 progress |= node.on_tick();
             }
@@ -559,7 +608,7 @@ impl std::fmt::Debug for RegisterGroup {
 /// (standalone task or group member).
 struct BuiltRegister<V: Value> {
     slot: TaskSlot<V>,
-    cmd_tx: Vec<Option<Sender<Cmd<V>>>>,
+    correct: Vec<bool>,
     byz_eps: Vec<Option<Endpoint<Msg<V>>>>,
     net: Arc<Net<Msg<V>>>,
 }
@@ -615,7 +664,8 @@ impl MpConfig {
 pub struct MpRegister<V: Value> {
     writer: ProcessId,
     slot: TaskSlot<V>,
-    cmd_tx: Vec<Option<Sender<Cmd<V>>>>,
+    /// `correct[i]`: `p_{i+1}` runs the protocol and has a client.
+    correct: Vec<bool>,
     byz_eps: parking_lot::Mutex<Vec<Option<Endpoint<Msg<V>>>>>,
     net: Arc<Net<Msg<V>>>,
     reactor: Arc<Reactor>,
@@ -624,7 +674,6 @@ pub struct MpRegister<V: Value> {
     /// The reactor task of a standalone register; `None` for a group
     /// member, which the group's host task serves.
     task: Option<TaskId>,
-    wake: Arc<dyn Fn() + Send + Sync>,
     n: usize,
 }
 
@@ -691,28 +740,22 @@ impl<V: Value> MpRegister<V> {
     /// standalone and grouped spawn paths).
     fn build(config: &MpConfig, v0: V) -> BuiltRegister<V> {
         assert!(config.n > 3 * config.f, "the MP emulation requires n > 3f");
+        assert!(config.n <= 64, "sender sets are 64-bit masks: the MP emulation takes n <= 64");
         let net = Net::<Msg<V>>::new(config.n, config.net, config.adversary.clone(), config.trace);
-        let mut cmd_tx = Vec::with_capacity(config.n);
         let mut byz_eps: Vec<Option<Endpoint<Msg<V>>>> = (0..config.n).map(|_| None).collect();
         let mut nodes = Vec::with_capacity(config.n);
-        let mut cmds = Vec::with_capacity(config.n);
-        let mut managed = Vec::with_capacity(config.n);
+        let mut correct = Vec::with_capacity(config.n);
         for i in 1..=config.n {
             let pid = ProcessId::new(i);
             if config.byzantine.contains(&pid) {
                 // Until someone takes this endpoint, nobody reads its queue.
                 net.set_unread(pid, true);
                 byz_eps[pid.zero_based()] = Some(net.endpoint(pid, true));
-                cmd_tx.push(None);
                 nodes.push(None);
-                cmds.push(None);
-                managed.push(false);
+                correct.push(false);
                 continue;
             }
-            let (tx, rx) = unbounded();
-            cmd_tx.push(Some(tx));
-            cmds.push(Some(rx));
-            managed.push(true);
+            correct.push(true);
             nodes.push(Some(Node {
                 ep: net.endpoint(pid, false),
                 n: config.n,
@@ -726,13 +769,14 @@ impl<V: Value> MpRegister<V> {
                 pending_readers: HashSet::new(),
                 next_sn: 0,
                 next_rid: 0,
-                queued: VecDeque::new(),
+                queued: None,
                 write_op: None,
                 read_op: None,
+                done: None,
             }));
         }
-        let task = RegisterTask { net: Arc::clone(&net), nodes, cmds, managed };
-        BuiltRegister { slot: Arc::new(parking_lot::Mutex::new(Some(task))), cmd_tx, byz_eps, net }
+        let task = RegisterTask { net: Arc::clone(&net), nodes, managed: correct.clone() };
+        BuiltRegister { slot: Arc::new(parking_lot::Mutex::new(Some(task))), correct, byz_eps, net }
     }
 
     /// Wires a built register to the scheduler that serves its
@@ -744,18 +788,17 @@ impl<V: Value> MpRegister<V> {
         task: Option<TaskId>,
         wake: Arc<dyn Fn() + Send + Sync>,
     ) -> Self {
-        let BuiltRegister { slot, cmd_tx, byz_eps, net } = built;
-        net.set_wake(Arc::clone(&wake));
+        let BuiltRegister { slot, correct, byz_eps, net } = built;
+        net.set_wake(wake);
         MpRegister {
             writer: config.writer,
             slot,
-            cmd_tx,
+            correct,
             byz_eps: parking_lot::Mutex::new(byz_eps),
             net,
             reactor: Arc::clone(reactor),
             owns_reactor: false,
             task,
-            wake,
             n: config.n,
         }
     }
@@ -769,16 +812,8 @@ impl<V: Value> MpRegister<V> {
     /// Panics if `pid` is declared Byzantine.
     #[must_use]
     pub fn client(&self, pid: ProcessId) -> MpClient<V> {
-        let tx = self.cmd_tx[pid.zero_based()]
-            .clone()
-            .unwrap_or_else(|| panic!("{pid} is Byzantine; use byzantine_endpoint"));
-        MpClient {
-            pid,
-            writer: self.writer,
-            tx,
-            slot: Arc::clone(&self.slot),
-            wake: Arc::clone(&self.wake),
-        }
+        assert!(self.correct[pid.zero_based()], "{pid} is Byzantine; use byzantine_endpoint");
+        MpClient { pid, writer: self.writer, slot: Arc::clone(&self.slot) }
     }
 
     /// The raw network endpoint of a declared-Byzantine node.
@@ -832,8 +867,7 @@ impl<V: Value> MpRegister<V> {
     /// no command in flight and before [`shutdown`](MpRegister::shutdown);
     /// it waits on a condvar and never sleeps.
     pub fn settle(&self) {
-        let managed: Vec<bool> = self.cmd_tx.iter().map(Option::is_some).collect();
-        self.net.settle(&managed);
+        self.net.settle(&self.correct);
     }
 
     /// Drops the register's task: its slot empties (clients panic on
@@ -865,16 +899,21 @@ impl<V: Value> std::fmt::Debug for MpRegister<V> {
 
 /// A process's client handle to an [`MpRegister`].
 ///
-/// An operation queues its command, then drains the register on the
-/// calling thread. Every correct node lives in that one drain, so it runs
-/// to quiescence with the command complete: no thread handoff, no wake.
+/// A call locks the register's task, puts its command on its process's
+/// node, drains the register to quiescence on the calling thread and takes
+/// the command's result from the node, all under that one lock: no
+/// channel, no thread handoff, no wake, no allocation of its own. Every
+/// correct node lives in that drain, and with every send delivered each
+/// correct node ends a write acked by `n − f` and a read answered by
+/// `n − f` equal reports, so the drain always completes the command. A
+/// node therefore holds at most one queued command and one result, and
+/// the result it holds belongs to the call holding the lock. Handles are
+/// clonable; clones of one process's handle serialize on the lock.
 #[derive(Clone)]
 pub struct MpClient<V: Value> {
     pid: ProcessId,
     writer: ProcessId,
-    tx: Sender<Cmd<V>>,
     slot: TaskSlot<V>,
-    wake: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl<V: Value> MpClient<V> {
@@ -888,39 +927,35 @@ impl<V: Value> MpClient<V> {
     ///
     /// # Panics
     ///
-    /// Panics if this handle does not belong to the writer `p1`.
+    /// Panics if this handle does not belong to the writer `p1`, or if the
+    /// register has shut down.
     pub fn write(&self, v: V) {
         assert!(self.pid == self.writer, "{} does not own the write port", self.pid);
-        let (reply_tx, reply_rx) = bounded(1);
-        let _ = self.call(Cmd::Write(v, reply_tx), &reply_rx);
+        self.call(Cmd::Write(v));
     }
 
     /// Reads the register (blocks until the read decision rule fires).
     /// Returns `(timestamp, value)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register has shut down.
     #[must_use]
     pub fn read(&self) -> (u64, V) {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.call(Cmd::Read(reply_tx), &reply_rx).expect("node alive")
+        let Done::Read(ts, v) = self.call(Cmd::Read) else { unreachable!("a read's result") };
+        (ts, v)
     }
 
-    /// Queues `cmd`, drains the register on this thread, and takes the
-    /// reply. The lock is blocking: waiting out another thread's drain is
-    /// cheaper than handing the command to it, and that drain may well
-    /// complete this command too.
-    fn call<R>(&self, cmd: Cmd<V>, reply: &Receiver<R>) -> Result<R, RecvError> {
-        self.tx.send(cmd).expect("node alive");
-        drain(&self.slot);
-        reply.try_recv().or_else(|_| {
-            // Cold. The drain above started after the command was queued
-            // and ran every correct node to quiescence, and with all sends
-            // delivered every correct node ends a write acked by `n − f`
-            // and a read answered by `n − f` equal reports. So the reply is
-            // missing only when the register has shut down (the slot is
-            // empty; `recv` then reports the disconnect). Waking the host
-            // and waiting keeps the call live even so.
-            (self.wake)();
-            reply.recv()
-        })
+    /// Queues `cmd` on this process's node, drains the register on this
+    /// thread and takes the result (see the type docs). The lock is
+    /// blocking: waiting out another thread's drain is cheaper than handing
+    /// the command to it.
+    fn call(&self, cmd: Cmd<V>) -> Done<V> {
+        let mut slot = self.slot.lock();
+        let task = slot.as_mut().expect("the register has shut down");
+        task.node(self.pid).queued = Some(cmd);
+        task.run();
+        task.node(self.pid).done.take().expect("a drain completes the command it was given")
     }
 }
 
@@ -977,6 +1012,15 @@ mod tests {
         w.write(9);
         assert_eq!(r.read(), (2, 9));
         reg.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "the register has shut down")]
+    fn a_call_on_a_shut_down_register_panics() {
+        let reg = MpRegister::spawn(&MpConfig::new(4), 0u32);
+        let r = reg.client(ProcessId::new(2));
+        reg.shutdown();
+        let _ = r.read();
     }
 
     #[test]
@@ -1430,6 +1474,95 @@ mod tests {
         for i in 1..=4u32 {
             w.write(i);
             assert_eq!(r.read(), (u64::from(i), i), "held reader must still read fresh");
+        }
+        reg.shutdown();
+    }
+
+    /// Pins the sends of one owner write and one non-owner read on `n = 4`
+    /// with `p4` silent (sends to `p4` are drawn and dropped, so they
+    /// count). A write is the writer's `WRITE` broadcast (4), one `ECHO`
+    /// broadcast per correct node (3 × 4), and one `ACK` plus one `VALID`
+    /// broadcast per correct node (3 × 5): 31. A read is the reader's
+    /// `READ` broadcast (4), one `STATE` per correct node (3) and the
+    /// `READ_DONE` broadcast (4): 11.
+    #[test]
+    fn one_owner_write_and_one_non_owner_read_send_exactly_their_messages() {
+        let mut config = MpConfig::new(4);
+        config.byzantine = vec![ProcessId::new(4)];
+        config.net = NetConfig::jittery(Duration::from_micros(200), 7);
+        let reg = MpRegister::spawn(&config, 0u64);
+        let w = reg.client(ProcessId::new(1));
+        let r = reg.client(ProcessId::new(2));
+        for i in 1..=3u64 {
+            reg.settle();
+            let before = reg.messages_sent();
+            w.write(i);
+            reg.settle();
+            assert_eq!(reg.messages_sent() - before, 31, "write {i}");
+            let before = reg.messages_sent();
+            assert_eq!(r.read(), (i, i));
+            reg.settle();
+            assert_eq!(reg.messages_sent() - before, 11, "read after write {i}");
+        }
+        reg.shutdown();
+    }
+
+    /// The liveness caveat under this crate's scheduler: `p1` writes
+    /// 20 000 values back to back while `p2` and `p3` read in loops. Every
+    /// call drains its own command to quiescence under the register's
+    /// lock, so no read can be overtaken by writes; each reader's values
+    /// are monotone and were written, and every thread ends inside a
+    /// bounded wait.
+    #[test]
+    fn reads_finish_under_a_writer_that_never_pauses() {
+        const WRITES: u64 = 20_000;
+        let mut config = MpConfig::new(4);
+        config.net = NetConfig::jittery(Duration::from_micros(200), 11);
+        let reg = MpRegister::spawn(&config, 0u64);
+        let done = Arc::new(AtomicBool::new(false));
+        let w = reg.client(ProcessId::new(1));
+        let writer = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                for v in 1..=WRITES {
+                    w.write(v);
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let readers: Vec<_> = [2, 3]
+            .into_iter()
+            .map(|pid| {
+                let r = reg.client(ProcessId::new(pid));
+                let done = Arc::clone(&done);
+                std::thread::spawn(move || {
+                    let mut last = 0;
+                    let mut reads = 0u64;
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        let (ts, v) = r.read();
+                        assert!(ts >= last, "p{pid}: read went back from {last} to {ts}");
+                        assert_eq!(v, ts, "p{pid}: value {v} was not written by write {ts}");
+                        last = ts;
+                        reads += 1;
+                        if finished {
+                            return (last, reads);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        let mut handles = readers;
+        while !(writer.is_finished() && handles.iter().all(std::thread::JoinHandle::is_finished)) {
+            assert!(std::time::Instant::now() < deadline, "a call did not return in 120 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        writer.join().unwrap();
+        for h in handles.drain(..) {
+            let (last, reads) = h.join().unwrap();
+            assert_eq!(last, WRITES, "the read after the last write sees it");
+            assert!(reads >= 1);
         }
         reg.shutdown();
     }

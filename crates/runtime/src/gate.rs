@@ -291,6 +291,9 @@ impl LockstepState {
 pub struct LockstepGate {
     id: u64,
     state: Mutex<LockstepState>,
+    /// Every notify follows a change to `state` made under its lock, and
+    /// every waiter tests `state` under it, so a notify that finds no
+    /// waiter may skip the wake (see `parking_lot::Condvar`).
     cv: Condvar,
     watchdog: Duration,
 }

@@ -69,6 +69,9 @@ struct ShardCore {
     epoch: AtomicU64,
     lock: Mutex<()>,
     cv: Condvar,
+    /// The longest the engine's active list has been after a refill (see
+    /// [`System::help_active_high_water`]). Written by the engine only.
+    active_high_water: AtomicUsize,
 }
 
 impl ShardCore {
@@ -78,12 +81,15 @@ impl ShardCore {
             epoch: AtomicU64::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
+            active_high_water: AtomicUsize::new(0),
         }
     }
 
     /// Advances the epoch and wakes the shard's engine. The lock is taken
     /// so a bump can never slip between the engine's epoch re-check and its
-    /// condvar wait (no lost wake-ups).
+    /// condvar wait (no lost wake-ups). For the same reason a bump that
+    /// finds the engine not parked costs no wake (see `parking_lot::Condvar`):
+    /// the engine's next re-check, under this lock, sees the new epoch.
     fn bump(&self) {
         self.epoch.fetch_add(1, Ordering::Release);
         let _guard = self.lock.lock();
@@ -550,6 +556,21 @@ impl System {
         self.shard_engines.lock().len()
     }
 
+    /// The most instances any one help engine has kept on its active list
+    /// so far (measured after each sweep's refill and drop of idle
+    /// instances). An instance stays listed only while its demand is
+    /// pending, so this follows the helper-dependent operations in flight
+    /// on one shard, not the instances installed there.
+    #[must_use]
+    pub fn help_active_high_water(&self) -> usize {
+        let engines = self.shard_engines.lock();
+        engines
+            .values()
+            .map(|e| e.core.active_high_water.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Spawns an adversary thread acting as the Byzantine process `pid`.
     /// The thread calls `behavior.tick()` until it returns `false` or the
     /// system shuts down, taking an idle step and yielding its core after
@@ -651,6 +672,9 @@ fn shard_help_loop(env: &Env, core: &ShardCore) {
         let seen = core.epoch.load(Ordering::Acquire);
         active.append(&mut core.ready.lock());
         active.retain(|state| state.pending.load(Ordering::SeqCst) > 0 || state.unlist());
+        if active.len() > core.active_high_water.load(Ordering::Relaxed) {
+            core.active_high_water.store(active.len(), Ordering::Relaxed);
+        }
         if active.is_empty() {
             // Quiet: no participation is held here, so lockstep systems
             // keep dispatching among the remaining participants while we
@@ -984,6 +1008,38 @@ mod tests {
             s.add_sharded_help_task(&shard, ProcessId::new(3), &demand, counter(&count));
             await_ticks(&count, 0, "a task attached under pending demand must tick");
         }
+        s.shutdown();
+    }
+
+    #[test]
+    fn the_active_high_water_follows_demand_not_installed_instances() {
+        // 32 instances on one shard, served one at a time: the engine never
+        // keeps more than the one in flight plus one whose demand ended
+        // mid-sweep. Then all 32 at once: every one is listed.
+        let s = System::builder(4).build();
+        let shard = s.new_help_shard();
+        let instances: Vec<_> = (0..32)
+            .map(|_| {
+                let demand = shard.new_demand();
+                let count = Arc::new(AtomicUsize::new(0));
+                s.add_sharded_help_task(&shard, ProcessId::new(2), &demand, counter(&count));
+                (demand, count)
+            })
+            .collect();
+        for (demand, count) in &instances {
+            let _op = demand.begin();
+            let seen = count.load(Ordering::SeqCst);
+            await_ticks(count, seen, "a begun demand must be served");
+        }
+        let one_at_a_time = s.help_active_high_water();
+        assert!((1..=2).contains(&one_at_a_time), "high water {one_at_a_time}");
+        let ops: Vec<_> = instances.iter().map(|(demand, _)| demand.begin()).collect();
+        for (_, count) in &instances {
+            let seen = count.load(Ordering::SeqCst);
+            await_ticks(count, seen, "every begun demand must be served");
+        }
+        assert_eq!(s.help_active_high_water(), 32, "32 pending instances are all active");
+        drop(ops);
         s.shutdown();
     }
 
