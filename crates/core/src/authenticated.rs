@@ -465,11 +465,11 @@ struct HelpTask2<V: Value> {
 }
 
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
-    fn tick(&mut self) {
+    fn tick(&mut self) -> bool {
         // Lines 26-27: sample C_k, compute askers.
         let (ck, askers) = self.tracker.poll(&self.shared.fabric.askers);
         if askers.is_empty() {
-            return; // line 28
+            return false; // line 28
         }
         let r_j: WitnessSet<V> = match &self.witness_w {
             // j = 1: the writer replies with the values of R1 itself
@@ -500,9 +500,9 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask2<V> {
             }
         };
 
-        // Lines 36-38: help each asker.
-        self.tracker.serve(&self.replies_w, &ck, &askers, &r_j);
         debug_assert!(self.j >= 1);
+        // Lines 36-38: help each asker.
+        self.tracker.serve(&self.replies_w, &ck, &askers, &r_j)
     }
 }
 

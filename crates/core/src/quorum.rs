@@ -23,8 +23,8 @@
 use std::collections::BTreeSet;
 
 use byzreg_runtime::{
-    gate, Env, HelpDemand, HelpDemandGuard, HelpShard, HelpTask, ProcessId, ReadPort,
-    RegisterFactory, Result, Roles, System, Value, WritePort,
+    gate, AskGuard, Env, HelpDemand, HelpShard, HelpTask, ProcessId, ReadPort, RegisterFactory,
+    Result, Roles, System, Value, WritePort,
 };
 
 use parking_lot::Mutex;
@@ -61,9 +61,9 @@ pub struct EngineParts<W> {
     /// The reader's reply column `R_{j,k}` of this instance, one port per
     /// process `p_j`.
     pub replies: Vec<ReadPort<Tagged<W>>>,
-    /// The demand handle of the instance's help shard: a run begins demand
-    /// on every instance it touches, so exactly the right shards' engines
-    /// wake and keep ticking while the run has pending rounds.
+    /// The demand handle of the instance's help shard: a run asks on every
+    /// instance it touches, so exactly the right shards' engines wake, and
+    /// they tick an instance while the run awaits a reply from it.
     pub demand: HelpDemand,
     /// Per helper `p_j`: the version of `R_{j,k}` at the last read of it by
     /// any run, and the timestamp that read returned (see
@@ -136,6 +136,20 @@ struct GroupState<T> {
 /// for every later round, and while the version has not moved the register
 /// still holds that timestamp.
 ///
+/// The run tells each touched instance's help shard when it needs helpers
+/// (`HelpDemand::ask`): a group's guard counts as awaiting from right after
+/// each bump of its `C_k` until its fresh reply is harvested, and dropping
+/// the guards takes the counts back on every exit path, `Err(Shutdown)`
+/// included. The engine ticks the instance's `Help()` tasks only while a
+/// round awaits, one answering helper per sweep, from a rotating start.
+/// This changes no line of the loop, threshold or round: a helper not
+/// ticked is a slow helper, which samples `C_k` later and answers a later
+/// round. And while a round awaits, every correct helper is ticked within
+/// as many sweeps as the instance has tasks, so every correct helper
+/// answers the current round, as the §5.1 termination argument needs; a
+/// helper whose answer the round does not use (it is in `set1` or `set0`
+/// already) only ends its sweep, and the next sweep starts after it.
+///
 /// # Errors
 ///
 /// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
@@ -147,12 +161,11 @@ pub fn quorum_groups<W: Value, T>(
     mut decide: impl FnMut(usize, usize, usize, usize) -> Option<T>,
 ) -> Result<Vec<Vec<T>>> {
     let n = env.n();
-    // Signal "this run has pending rounds" to every touched instance's help
-    // shard for the whole run: shard engines tick the touched instances'
-    // help tasks exactly while these guards are held.
-    // A group with no items needs no helping.
-    let _demand: Vec<HelpDemandGuard> =
-        groups.iter().filter(|&&(_, items)| items > 0).map(|(p, _)| p.demand.begin()).collect();
+    // Ask on every touched instance for the whole run; a group with no
+    // items needs no helping. Dropping a guard, on any exit path, takes
+    // back its count.
+    let mut asks: Vec<Option<AskGuard>> =
+        groups.iter().map(|&(p, items)| (items > 0).then(|| p.demand.ask())).collect();
     let mut states: Vec<GroupState<T>> = groups
         .iter()
         .map(|&(_, items)| GroupState {
@@ -181,6 +194,7 @@ pub fn quorum_groups<W: Value, T>(
                     *c
                 });
                 target = my_ck[g];
+                asks[g].as_mut().expect("a pending group has items").await_reply();
             }
         }
         cursor = target;
@@ -229,6 +243,7 @@ pub fn quorum_groups<W: Value, T>(
                 });
                 drop(seen);
                 let Some((j, r_j)) = fresh else { continue };
+                asks[g].as_mut().expect("a pending group has items").replied();
                 let s = &mut states[g];
                 for i in 0..s.outcome.len() {
                     if s.outcome[i].is_some() || s.set1[i][j] || s.set0[i][j] {
@@ -368,17 +383,20 @@ impl AskerTracker {
 
     /// Answers every pending asker with `reply` and acknowledges the served
     /// rounds (the lines 34–36 / 36–38 / 38–40 epilogue of every `Help()`).
+    /// Returns whether it answered anyone: the tick's result for the help
+    /// engine (see `HelpTask::tick`).
     pub fn serve<W: Value>(
         &mut self,
         replies_w: &[WritePort<Tagged<W>>],
         ck: &[u64],
         askers: &[usize],
         reply: &W,
-    ) {
+    ) -> bool {
         for &k in askers {
             replies_w[k].write((reply.clone(), ck[k]));
             self.acknowledge(k, ck[k]);
         }
+        !askers.is_empty()
     }
 }
 
@@ -529,7 +547,7 @@ pub(crate) struct Instance<W, P> {
     pub(crate) env: Env,
     pub(crate) roles: Roles,
     /// The demand handle of the instance's help shard; reader handles'
-    /// quorum runs begin it (see [`quorum_groups`]).
+    /// quorum runs ask on it (see [`quorum_groups`]).
     pub(crate) demand: HelpDemand,
     /// Every role's ports (index `role - 1`), each taken at most once.
     ports: Mutex<Vec<Option<RolePorts<W, P>>>>,
@@ -615,6 +633,8 @@ mod tests {
     use super::*;
     use crate::tests::Loads;
     use byzreg_runtime::{register, LocalFactory, ProcessId, System};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn asker_tracker_detects_increases_only() {
@@ -693,13 +713,7 @@ mod tests {
         let got = std::thread::scope(|scope| {
             let run = scope.spawn(|| env.run_as(p(2), || verify_groups(env, &[(&parts, &[7])])));
             // A failed assert below shuts the system down, ending the run.
-            struct Shutdown<'a>(&'a System);
-            impl Drop for Shutdown<'_> {
-                fn drop(&mut self) {
-                    self.0.shutdown();
-                }
-            }
-            let _shutdown = Shutdown(&sys);
+            let _shutdown = ShutdownOnDrop(&sys);
             settle(&|| reply_loads() == 4);
             assert_eq!(reply_loads(), 4, "unwritten reply registers are not re-read");
             // One helper answers round 1: exactly one more load. In round 2
@@ -903,6 +917,130 @@ mod tests {
         let _ = run(&sys, &[(&g1, &[1]), (&g2, &[2, 9])]).0.unwrap();
         assert_eq!(ck1.read(), ck2.read(), "both registers end at the shared cursor");
         assert!(ck1.read() > 17, "the cursor starts above every group's counter");
+    }
+
+    /// Helper `p_j`'s `Help()` for reader `p2` of a hand-built column:
+    /// while `open` is set, answers every new round of `p2` with `{7}`.
+    struct Answering {
+        tracker: AskerTracker,
+        asker: Vec<ReadPort<u64>>,
+        reply: Vec<WritePort<Reply<u32>>>,
+        open: Arc<AtomicBool>,
+    }
+
+    impl HelpTask for Answering {
+        fn tick(&mut self) -> bool {
+            if !self.open.load(Ordering::SeqCst) {
+                return false;
+            }
+            let (ck, askers) = self.tracker.poll(&self.asker);
+            self.tracker.serve(&self.reply, &ck, &askers, &[7].into())
+        }
+    }
+
+    /// Reader `p2`'s engine handles over a column whose helpers run
+    /// [`Answering`] tasks on a fresh help shard, a read port of its asker
+    /// counter, and helper `p_j`'s `open` flag at index `j - 1` (all shut).
+    fn helped(sys: &System) -> (EngineParts<BTreeSet<u32>>, ReadPort<u64>, Vec<Arc<AtomicBool>>) {
+        let (env, p) = (sys.env(), ProcessId::new);
+        let shard = sys.new_help_shard();
+        let demand = shard.new_demand();
+        let (ck, ck_r) = register::swmr(env.gate(), p(2), "C".to_owned(), 0u64);
+        let (replies, open) = (1..=env.n())
+            .map(|j| {
+                let (w, r) = register::swmr(env.gate(), p(j), format!("R{j}"), Default::default());
+                let open = Arc::new(AtomicBool::new(false));
+                let task = Answering {
+                    tracker: AskerTracker::new(1),
+                    asker: vec![ck_r.clone()],
+                    reply: vec![w],
+                    open: Arc::clone(&open),
+                };
+                sys.add_sharded_help_task(&shard, p(j), &demand, Box::new(task));
+                (r, open)
+            })
+            .unzip();
+        (EngineParts::new(ck, replies, demand), ck_r, open)
+    }
+
+    /// Shuts `sys` down when dropped, so a failed assert ends a run that
+    /// would otherwise wait forever.
+    struct ShutdownOnDrop<'a>(&'a System);
+
+    impl Drop for ShutdownOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
+    /// Waits until `cond` holds.
+    fn until(cond: impl Fn() -> bool, what: &str) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_sweep_ended_by_a_helper_already_in_set1_still_decides() {
+        // Only p1 answers at first, so it wins round 1. In round 2 its
+        // answer is the first of every sweep that answers, and p2's run no
+        // longer needs it: p1 is in set1. Once the others open, the next
+        // sweeps start after p1 and the run decides.
+        let sys = System::builder(4).build();
+        let (parts, ck, open) = helped(&sys);
+        open[0].store(true, Ordering::SeqCst);
+        let got = std::thread::scope(|scope| {
+            let run = scope.spawn(|| run(&sys, &[(&parts, &[7])]).0);
+            let _shutdown = ShutdownOnDrop(&sys);
+            until(|| ck.read() == 2 && parts.replies[0].read().1 == 2, "p1 answered round 2");
+            assert_eq!(parts.demand.awaiting(), 1, "p1's answer did not end round 2");
+            for flag in &open[1..] {
+                flag.store(true, Ordering::SeqCst);
+            }
+            run.join().unwrap()
+        });
+        assert_eq!(got.unwrap(), vec![vec![true]]);
+        assert_eq!(ck.read(), 3, "three rounds, three distinct helpers");
+        assert_eq!(parts.demand.awaiting(), 0);
+    }
+
+    #[test]
+    fn a_run_ended_by_shutdown_takes_back_its_wait() {
+        let sys = System::builder(4).build();
+        let (parts, _, _) = helped(&sys);
+        let got = std::thread::scope(|scope| {
+            let run = scope.spawn(|| run(&sys, &[(&parts, &[7]), (&parts, &[8])]).0);
+            let _shutdown = ShutdownOnDrop(&sys);
+            until(|| parts.demand.awaiting() == 2, "the run awaits both groups' replies");
+            sys.shutdown();
+            run.join().unwrap()
+        });
+        assert!(got.is_err());
+        assert_eq!(parts.demand.awaiting(), 0);
+        assert!(!parts.demand.is_pending());
+    }
+
+    #[test]
+    fn two_readers_asking_one_instance_at_once_both_decide() {
+        let sys = System::builder(4).build();
+        let reg = crate::verifiable::VerifiableRegister::install(&sys, 0u32);
+        let mut writer = reg.writer();
+        writer.write(7).unwrap();
+        assert!(writer.sign(&7).unwrap());
+        std::thread::scope(|scope| {
+            for pid in [2, 3] {
+                let mut reader = reg.reader(ProcessId::new(pid));
+                scope.spawn(move || {
+                    for _ in 0..50 {
+                        assert!(reader.verify(&7).unwrap(), "p{pid}: 7 was signed");
+                        assert!(!reader.verify(&8).unwrap(), "p{pid}: 8 was not");
+                    }
+                });
+            }
+        });
+        sys.shutdown();
     }
 
     #[test]

@@ -460,7 +460,7 @@ impl<V: Value> HelpTask3<V> {
 }
 
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask3<V> {
-    fn tick(&mut self) {
+    fn tick(&mut self) -> bool {
         let n = self.env.n();
         let f = self.env.f();
 
@@ -496,7 +496,7 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask3<V> {
         // Lines 31-32: sample C_k, compute askers.
         let (ck, askers) = self.tracker.poll(&self.shared.fabric.askers);
         if askers.is_empty() {
-            return; // line 33
+            return false; // line 33
         }
 
         // Lines 34-36: with an asker waiting, also accept f+1 witnesses —
@@ -513,7 +513,7 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask3<V> {
         // Line 37: rj <- Rj.
         let r_j = self.witness_w.read();
         // Lines 38-40.
-        self.tracker.serve(&self.replies_w, &ck, &askers, &r_j);
+        self.tracker.serve(&self.replies_w, &ck, &askers, &r_j)
     }
 }
 

@@ -400,11 +400,11 @@ struct HelpTask1<V: Value> {
 }
 
 impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
-    fn tick(&mut self) {
+    fn tick(&mut self) -> bool {
         // Lines 27-28: sample C_k and compute askers.
         let (ck, askers) = self.tracker.poll(&self.shared.fabric.askers);
         if askers.is_empty() {
-            return; // line 29 (no askers: do nothing this round)
+            return false; // line 29 (no askers: do nothing this round)
         }
         let r_j = if self.inputs.moved(self.shared.witness.iter().map(ReadPort::version)) {
             // Line 30: read R_i of every process.
@@ -418,7 +418,7 @@ impl<V: Value> byzreg_runtime::HelpTask for HelpTask1<V> {
             self.witness_w.read()
         };
         // Lines 34-36: help each asker.
-        self.tracker.serve(&self.replies_w, &ck, &askers, &r_j);
+        self.tracker.serve(&self.replies_w, &ck, &askers, &r_j)
     }
 }
 

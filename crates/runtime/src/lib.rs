@@ -44,8 +44,8 @@ pub use history::{Clock, CompleteOp, Event, EventKind, HistoryLog, OpToken};
 pub use pid::{ProcessId, Roles};
 pub use register::{custom_swmr, swmr, CellBackend, ReadPort, WritePort};
 pub use system::{
-    ByzantineBehavior, Env, HelpDemand, HelpDemandGuard, HelpShard, HelpTask, Scheduling, System,
-    SystemBuilder,
+    AskGuard, ByzantineBehavior, Env, HelpDemand, HelpDemandGuard, HelpShard, HelpTask, Scheduling,
+    System, SystemBuilder,
 };
 
 /// Marker trait for values storable in the implemented registers.

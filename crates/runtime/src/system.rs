@@ -8,15 +8,17 @@
 //! There is one help substrate: **demand-driven help shards**
 //! ([`System::new_help_shard`] + [`System::add_sharded_help_task`]). Tasks
 //! are partitioned into help shards, each served by one engine thread that
-//! ticks only the tasks whose [`HelpDemand`] has a pending quorum round
-//! and **parks** on a wake counter otherwise (edge-triggered, like the MP
-//! reactor's dedup flags). An instance's tasks live with its demand, and a
-//! demand going from 0 to pending puts the instance on its shard's ready
-//! list, so an engine sweep visits only the instances with pending demand:
-//! it costs O(pending), not O(installed). A keyed store registers each
-//! key's help tasks under the key's shard, so background helping cost
-//! scales with the *active* keys of the touched shards, not with every
-//! instantiated key; a standalone object gets a fresh shard of its own. The paper's
+//! ticks an instance's tasks only while an asker awaits a reply, one
+//! answering helper per sweep (or on every sweep while a
+//! [`HelpDemand::begin`] guard is held), and **parks** on a wake counter
+//! once nothing is pending (edge-triggered, like the MP reactor's dedup
+//! flags). An instance's tasks live with its demand, and a demand going
+//! from 0 to pending puts the instance on its shard's ready list, so an
+//! engine sweep visits only the instances with pending demand: it costs
+//! O(pending), not O(installed). A keyed store registers each key's help
+//! tasks under the key's shard, so background helping cost scales with
+//! the *active* keys of the touched shards, not with every instantiated
+//! key; a standalone object gets a fresh shard of its own. The paper's
 //! continuous-`Help()` requirement (§5.2: each process executes `Help()`
 //! "even when it is not currently performing any operation on the
 //! implemented register") is preserved per shard: a `Help()` round with no
@@ -50,13 +52,17 @@ use crate::pid::ProcessId;
 /// the algorithm's `Help()` while-loop — and returns. The shard engine calls
 /// it repeatedly while the task's demand is pending.
 pub trait HelpTask: Send + 'static {
-    /// Performs one iteration of the help procedure.
-    fn tick(&mut self);
+    /// Performs one iteration of the help procedure. Returns `true` iff it
+    /// answered some asker's round (wrote a reply): the engine then moves on
+    /// to the next instance (see [`HelpDemand::ask`]).
+    fn tick(&mut self) -> bool;
 }
 
+/// A closure task answers no asker.
 impl<F: FnMut() + Send + 'static> HelpTask for F {
-    fn tick(&mut self) {
-        self()
+    fn tick(&mut self) -> bool {
+        self();
+        false
     }
 }
 
@@ -97,10 +103,21 @@ impl ShardCore {
     }
 }
 
-/// One object instance hosted on a help shard: its demand count, its help
+/// One object instance hosted on a help shard: its demand counts, its help
 /// tasks, and whether it is on the shard's ready or active list.
 struct DemandState {
+    /// Guards held, of both kinds: the instance stays listed while this is
+    /// above 0.
     pending: AtomicUsize,
+    /// [`HelpDemand::begin`] guards held: while above 0, every task ticks on
+    /// every sweep.
+    steady: AtomicUsize,
+    /// Asker rounds whose `C_k` was bumped and whose fresh reply was not yet
+    /// harvested (see [`AskGuard`]).
+    awaiting: AtomicUsize,
+    /// The task the next asker-gated sweep starts at: one past the last
+    /// task that answered. Only the engine touches it.
+    next: AtomicUsize,
     /// `true` while the instance is on the shard's ready list or the
     /// engine's active list. Whoever flips it from `false` to `true` lists
     /// the instance, so it is listed at most once.
@@ -113,6 +130,13 @@ struct DemandState {
 }
 
 impl DemandState {
+    /// Counts one guard in; the 0→pending transition lists the instance.
+    fn list(self: &Arc<Self>) {
+        if self.pending.fetch_add(1, Ordering::SeqCst) == 0 {
+            self.enqueue();
+        }
+    }
+
     /// Puts the instance on its shard's ready list unless it is listed
     /// already, and wakes the engine.
     fn enqueue(self: &Arc<Self>) {
@@ -138,14 +162,19 @@ impl DemandState {
 
 /// The demand handle of one object instance hosted on a help shard.
 ///
-/// Operations whose termination depends on background helping (the §5.1
-/// quorum rounds, the sticky write's witness wait) call
-/// [`HelpDemand::begin`] for their duration; the shard's engine ticks an
-/// instance's tasks only while its demand is pending, and the whole shard
-/// parks once nothing is pending. This is sound because a `Help()` round
-/// with no pending asker takes no protocol-visible action (the early
-/// returns of Alg. 1 line 29 / Alg. 2 line 28 / Alg. 3 line 33): parking
-/// is indistinguishable from the engine ticking no-ops.
+/// Operations whose termination depends on background helping hold a guard
+/// for their duration, and the whole shard parks once no instance holds
+/// one. This is sound because a `Help()` round with no pending asker takes
+/// no protocol-visible action (the early returns of Alg. 1 line 29 / Alg. 2
+/// line 28 / Alg. 3 line 33): parking is indistinguishable from the engine
+/// ticking no-ops. There are two kinds of guard:
+///
+/// * [`HelpDemand::ask`], held by a §5.1 quorum run: the instance's tasks
+///   tick only while an asker awaits a reply, one answering helper per
+///   sweep ([`AskGuard`]);
+/// * [`HelpDemand::begin`], held by waits that need every helper's steps
+///   whether or not anyone asks (the sticky writer's `n − f` witness wait,
+///   an object's lifetime): every task ticks on every sweep.
 #[derive(Clone)]
 pub struct HelpDemand {
     state: Arc<DemandState>,
@@ -153,20 +182,50 @@ pub struct HelpDemand {
 
 impl HelpDemand {
     /// Marks a helper-dependent operation as in flight until the returned
-    /// guard drops. The 0→pending transition puts the instance on its
-    /// shard's ready list and wakes the shard's engine.
+    /// guard drops: every task of the instance ticks on every sweep. The
+    /// 0→pending transition puts the instance on its shard's ready list and
+    /// wakes the shard's engine.
     #[must_use]
     pub fn begin(&self) -> HelpDemandGuard {
-        if self.state.pending.fetch_add(1, Ordering::SeqCst) == 0 {
-            self.state.enqueue();
-        }
+        self.state.steady.fetch_add(1, Ordering::SeqCst);
+        self.state.list();
         HelpDemandGuard { state: Arc::clone(&self.state) }
     }
 
-    /// `true` while at least one helper-dependent operation is in flight.
+    /// Marks a quorum run as in flight until the returned guard drops. The
+    /// instance is listed as by [`HelpDemand::begin`], so the engine keeps
+    /// spinning between the run's rounds and never parks, but its tasks
+    /// tick only while some asker awaits a reply ([`AskGuard::await_reply`]).
+    /// Such a sweep ticks the tasks from a rotating start and moves on to
+    /// the next instance right after the first tick that answered an asker;
+    /// the next sweep starts after that task. The asker uses one fresh reply
+    /// per round, so the other helpers' answers to it would be thrown away.
+    ///
+    /// Safety: any schedule of `Help()` steps is valid; a task not ticked is
+    /// a slow helper, which samples `C_k` later and answers a later round.
+    /// Liveness: while an asker waits, every sweep ticks one run of
+    /// consecutive tasks that ends at the first answer (or covers them all),
+    /// and the next sweep's run starts where it ended, so every task ticks
+    /// within as many sweeps as the instance has tasks; every correct helper
+    /// thus answers the current round, which is all the paper's termination
+    /// argument needs. [`HelpDemand::begin`] guards are never gated.
+    #[must_use]
+    pub fn ask(&self) -> AskGuard {
+        self.state.list();
+        AskGuard { state: Arc::clone(&self.state), waiting: false }
+    }
+
+    /// `true` while at least one guard of either kind is held.
     #[must_use]
     pub fn is_pending(&self) -> bool {
         self.state.pending.load(Ordering::Acquire) > 0
+    }
+
+    /// The number of asker rounds awaiting a reply (see
+    /// [`AskGuard::await_reply`]).
+    #[must_use]
+    pub fn awaiting(&self) -> usize {
+        self.state.awaiting.load(Ordering::Acquire)
     }
 }
 
@@ -185,6 +244,39 @@ pub struct HelpDemandGuard {
 
 impl Drop for HelpDemandGuard {
     fn drop(&mut self) {
+        self.state.steady.fetch_sub(1, Ordering::SeqCst);
+        self.state.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// RAII span of one quorum run on one instance (see [`HelpDemand::ask`]).
+/// While the run awaits a reply it counts in the instance's `awaiting`;
+/// dropping the guard, on any exit path, takes back both counts.
+pub struct AskGuard {
+    state: Arc<DemandState>,
+    waiting: bool,
+}
+
+impl AskGuard {
+    /// The asker bumped its `C_k` and now awaits a fresh reply: the
+    /// instance's tasks tick until [`AskGuard::replied`].
+    pub fn await_reply(&mut self) {
+        if !std::mem::replace(&mut self.waiting, true) {
+            self.state.awaiting.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The asker harvested its fresh reply for the current round.
+    pub fn replied(&mut self) {
+        if std::mem::replace(&mut self.waiting, false) {
+            self.state.awaiting.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Drop for AskGuard {
+    fn drop(&mut self) {
+        self.replied();
         self.state.pending.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -217,6 +309,9 @@ impl HelpShard {
         HelpDemand {
             state: Arc::new(DemandState {
                 pending: AtomicUsize::new(0),
+                steady: AtomicUsize::new(0),
+                awaiting: AtomicUsize::new(0),
+                next: AtomicUsize::new(0),
                 queued: AtomicBool::new(false),
                 tasks: Mutex::new(Vec::new()),
                 shard: Arc::downgrade(&self.core),
@@ -514,11 +609,13 @@ impl System {
     /// `shard`.
     ///
     /// The task lives with `demand` (which must come from `shard`): the
-    /// shard's engine ticks it only while `demand` is pending (see
-    /// [`HelpDemand`]); with nothing pending anywhere in the shard, the
-    /// engine parks. Tasks attached to a declared-Byzantine process are
-    /// silently dropped: faulty processes do not execute the protocol (an
-    /// adversary may be installed instead with [`System::spawn_byzantine`]).
+    /// shard's engine ticks it only while `demand` is pending, and while
+    /// only [`HelpDemand::ask`] guards are held, only while an asker awaits
+    /// a reply (see [`HelpDemand`]); with nothing pending anywhere in the
+    /// shard, the engine parks. Tasks attached to a declared-Byzantine
+    /// process are silently dropped: faulty processes do not execute the
+    /// protocol (an adversary may be installed instead with
+    /// [`System::spawn_byzantine`]).
     pub fn add_sharded_help_task(
         &self,
         shard: &HelpShard,
@@ -656,13 +753,21 @@ impl std::fmt::Debug for System {
 ///
 /// The engine keeps an *active* list of instances with pending demand,
 /// refilled from the shard's ready list, so a sweep costs O(pending
-/// instances), not O(installed tasks). Each sweep ticks every task of
-/// every active instance, entering the step gate as the task's process for
-/// the tick (so lockstep scheduling and the paper's process identities are
-/// preserved even though many processes' tasks share the thread). An
-/// instance whose count reads 0 leaves the list ([`DemandState::unlist`]):
-/// a `begin` racing with the drop either re-enqueues the instance itself
-/// or is seen there and keeps it. With
+/// instances), not O(installed tasks). Each tick enters the step gate as
+/// the task's process (so lockstep scheduling and the paper's process
+/// identities are preserved even though many processes' tasks share the
+/// thread). Per active instance, a sweep ticks:
+///
+/// * every task, while a [`HelpDemand::begin`] guard is held;
+/// * otherwise, while some asker awaits a reply, the tasks from the
+///   instance's rotating start up to and including the first tick that
+///   answered an asker, and the next sweep starts after that task (see
+///   [`HelpDemand::ask`] for why this is safe and live);
+/// * otherwise nothing: the instance's askers are between rounds.
+///
+/// An instance whose count reads 0 leaves the list
+/// ([`DemandState::unlist`]): a guard taken while the drop races either
+/// re-enqueues the instance itself or is seen there and keeps it. With
 /// nothing active and nothing ready the engine parks until the epoch moves
 /// (every enqueue bumps it), so it never sleeps through work and never
 /// spins while quiet.
@@ -689,19 +794,31 @@ fn shard_help_loop(env: &Env, core: &ShardCore) {
             continue;
         }
         for state in &active {
+            let steady = state.steady.load(Ordering::SeqCst) > 0;
+            if !steady && state.awaiting.load(Ordering::SeqCst) == 0 {
+                continue;
+            }
             // Take the tasks out for the ticks so a concurrent attach is
             // not blocked (ticks perform gated steps that can block).
             let mut tasks = std::mem::take(&mut *state.tasks.lock());
-            for (pid, task) in &mut tasks {
+            let start = state.next.load(Ordering::Relaxed);
+            for i in 0..tasks.len() {
                 if env.is_shutdown() {
                     return;
                 }
-                env.run_as(*pid, || {
-                    task.tick();
+                let at = (start + i) % tasks.len();
+                let (pid, task) = &mut tasks[at];
+                let answered = env.run_as(*pid, || {
+                    let answered = task.tick();
                     // Park at the gate once per tick: idle shard engines
                     // are deregistered entirely, busy ones yield fairly.
                     gate::idle_step(&env.gate());
+                    answered
                 });
+                if answered && !steady {
+                    state.next.store(at + 1, Ordering::Relaxed);
+                    break;
+                }
             }
             let mut slot = state.tasks.lock();
             tasks.append(&mut slot);
@@ -1110,6 +1227,155 @@ mod tests {
         await_ticks(&busy, 1000, "the busy instance must make progress");
         assert_eq!(idle.load(Ordering::SeqCst), 0, "idle instances must not tick");
         assert!(idle_demands.iter().all(|d| !d.is_pending()));
+        s.shutdown();
+    }
+
+    /// A task that logs `id` into `log` on every tick and reports `answers`
+    /// as whether the tick answered an asker.
+    struct Logged {
+        log: Arc<Mutex<Vec<usize>>>,
+        id: usize,
+        answers: bool,
+    }
+
+    impl HelpTask for Logged {
+        fn tick(&mut self) -> bool {
+            self.log.lock().push(self.id);
+            self.answers
+        }
+    }
+
+    /// One shard whose first instance, held by `begin`, has a single task
+    /// logging 0 once per sweep, and whose second instance has tasks of
+    /// `p1`, `p2`, `p3` logging 1, 2, 3 and answering as `answers` says.
+    /// Returns the second instance's demand and the log.
+    fn swept(
+        s: &System,
+        answers: [bool; 3],
+    ) -> (HelpDemand, HelpDemandGuard, Arc<Mutex<Vec<usize>>>) {
+        let shard = s.new_help_shard();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let marker = shard.new_demand();
+        let task = Logged { log: Arc::clone(&log), id: 0, answers: false };
+        s.add_sharded_help_task(&shard, ProcessId::new(4), &marker, Box::new(task));
+        let demand = shard.new_demand();
+        for (id, answers) in (1..).zip(answers) {
+            let task = Logged { log: Arc::clone(&log), id, answers };
+            s.add_sharded_help_task(&shard, ProcessId::new(id), &demand, Box::new(task));
+        }
+        (demand, marker.begin(), log)
+    }
+
+    /// Waits until the log records a tick of the instance, then clears it:
+    /// the instance is on the engine's active list from then on, so every
+    /// sweep whose marker the cleared log records already reads the guards
+    /// held now.
+    fn settle(log: &Mutex<Vec<usize>>) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !log.lock().iter().any(|&id| id != 0) {
+            assert!(std::time::Instant::now() < deadline, "the instance never ticked");
+            std::thread::yield_now();
+        }
+        log.lock().clear();
+    }
+
+    /// The instance's ticks of each whole sweep the log records: the runs
+    /// between consecutive markers.
+    fn sweeps(log: &Mutex<Vec<usize>>, at_least: usize) -> Vec<Vec<usize>> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let log = log.lock().clone();
+            let mut runs: Vec<Vec<usize>> = log.split(|&id| id == 0).map(<[_]>::to_vec).collect();
+            if runs.len() >= at_least + 2 {
+                runs.pop();
+                runs.remove(0);
+                return runs;
+            }
+            assert!(std::time::Instant::now() < deadline, "the engine made too few sweeps");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn an_asked_instance_ticks_only_while_an_asker_awaits_a_reply() {
+        let s = System::builder(4).build();
+        let (demand, _marker, log) = swept(&s, [true; 3]);
+        let mut ask = demand.ask();
+        assert!(demand.is_pending(), "the asked instance is listed");
+        assert!(sweeps(&log, 50).iter().all(Vec::is_empty), "nobody awaits: no tick");
+        ask.await_reply();
+        assert_eq!(demand.awaiting(), 1);
+        settle(&log);
+        let ticked = sweeps(&log, 50);
+        assert!(ticked.iter().all(|run| run.len() == 1), "one answering tick per sweep");
+        ask.replied();
+        assert_eq!(demand.awaiting(), 0);
+        // Each sweep logs its marker before it reads `awaiting`.
+        log.lock().clear();
+        assert!(sweeps(&log, 50).iter().all(Vec::is_empty), "the reply came: no tick");
+        s.shutdown();
+    }
+
+    #[test]
+    fn begun_demand_ticks_every_task_on_every_sweep() {
+        // The sticky writer's witness wait: nobody asks, and every helper
+        // must still run its echo and witness stages.
+        let s = System::builder(4).build();
+        let (demand, _marker, log) = swept(&s, [true; 3]);
+        let _wait = demand.begin();
+        settle(&log);
+        assert_eq!(demand.awaiting(), 0);
+        for run in sweeps(&log, 50) {
+            assert_eq!(run, vec![1, 2, 3]);
+        }
+        s.shutdown();
+    }
+
+    #[test]
+    fn answering_helpers_take_turns_one_per_sweep() {
+        let s = System::builder(4).build();
+        let (demand, _marker, log) = swept(&s, [true; 3]);
+        let mut ask = demand.ask();
+        ask.await_reply();
+        settle(&log);
+        let runs = sweeps(&log, 30);
+        assert!(runs.iter().all(|run| run.len() == 1), "one tick per sweep: {runs:?}");
+        let ticked = runs.concat();
+        let first = ticked[0];
+        for (i, id) in ticked.iter().enumerate() {
+            assert_eq!(*id, (first - 1 + i) % 3 + 1, "p1, p2, p3 in turn: {ticked:?}");
+        }
+        drop(ask);
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_tick_that_answers_nothing_does_not_end_the_sweep() {
+        // p1 never answers: a sweep starting at p1 goes on to p2.
+        let s = System::builder(4).build();
+        let (demand, _marker, log) = swept(&s, [false, true, true]);
+        let mut ask = demand.ask();
+        ask.await_reply();
+        settle(&log);
+        let runs = sweeps(&log, 30);
+        for run in &runs {
+            assert!(run == &[1, 2] || run == &[3], "sweep {run:?} of {runs:?}");
+        }
+        drop(ask);
+        s.shutdown();
+    }
+
+    #[test]
+    fn dropping_an_ask_guard_takes_back_its_counts() {
+        let s = System::builder(4).build();
+        let demand = s.new_help_shard().new_demand();
+        let mut ask = demand.ask();
+        ask.await_reply();
+        ask.await_reply();
+        assert_eq!((demand.awaiting(), demand.is_pending()), (1, true), "one wait per guard");
+        let _other = demand.ask();
+        drop(ask);
+        assert_eq!((demand.awaiting(), demand.is_pending()), (0, true));
         s.shutdown();
     }
 
